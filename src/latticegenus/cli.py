@@ -19,6 +19,7 @@ from typing import Sequence
 from .embeddings import (
     CertificateError,
     EmbeddingCertificate,
+    InvariantError,
     fan_expansion,
     gn_certificate,
     hn_certificate,
@@ -85,17 +86,25 @@ def _estimate_text(est: GenusEstimate) -> str:
     return head + " (" + ", ".join(est.provenance) + ")"
 
 
+def _grid_exponents(text: str) -> tuple[int, ...] | None:
+    """Exponents of a grid token like 2,2,3; None if text names a group."""
+    stripped = text.strip()
+    if not (stripped and all(ch.isdigit() or ch == "," for ch in stripped)):
+        return None
+    exps = tuple(int(tok) for tok in stripped.split(",") if tok)
+    if not exps:
+        raise GraphError(f"empty exponent list {text!r}")
+    return exps
+
+
 def _target_graph(text: str, order_cap: int | None) -> tuple[str, Graph]:
     """Resolve a target token: a grid exponent list like 2,2,3 builds a
     grid graph, anything else is parsed as a group expression whose
     subgroup lattice is built."""
-    stripped = text.strip()
-    if stripped and all(ch.isdigit() or ch == "," for ch in stripped):
-        exps = tuple(int(tok) for tok in stripped.split(",") if tok)
-        if not exps:
-            raise GraphError(f"empty exponent list {text!r}")
+    exps = _grid_exponents(text)
+    if exps is not None:
         return "grid " + ",".join(map(str, exps)), grid_graph(exps)
-    spec = parse_group_spec(stripped, order_cap=order_cap)
+    spec = parse_group_spec(text.strip(), order_cap=order_cap)
     return spec.name(), lattice_for(spec, order_cap=order_cap)
 
 
@@ -185,22 +194,19 @@ def _group_bounds(spec: GroupSpec, order_cap: int | None) -> GenusEstimate:
         est = est.merge(GenusEstimate.at_least(1, ["nonplanar"]))
         gi = girth(lattice)
         # the quadrilateral Euler bound needs girth >= 4
-        if gi is None or gi >= 4:
+        if gi >= 4:
             lower = euler_lower_bound_int(lattice.vertex_count, lattice.edge_count)
             est = est.merge(GenusEstimate.at_least(lower, ["bound:euler"]))
     return est
 
 
 def cmd_bounds(args) -> int:
-    text = args.target.strip()
-    if text and all(ch.isdigit() or ch == "," for ch in text):
-        exps = tuple(int(tok) for tok in text.split(",") if tok)
-        if not exps:
-            raise FormulaError(f"empty exponent list {args.target!r}")
+    exps = _grid_exponents(args.target)
+    if exps is not None:
         name = "grid " + ",".join(map(str, exps))
         est = estimate_grid_genus(exps)
     else:
-        spec = parse_group_spec(text, order_cap=args.order_cap)
+        spec = parse_group_spec(args.target.strip(), order_cap=args.order_cap)
         name = spec.name()
         est = _group_bounds(spec, args.order_cap)
     if args.json:
@@ -495,7 +501,7 @@ def _row_evidence(
             return GenusEstimate.at_least(lower, provenance)
         return None
     gi = girth(lattice)
-    if gi is not None and gi >= 4:
+    if gi >= 4:
         lower = euler_lower_bound_int(lattice.vertex_count, lattice.edge_count)
         return GenusEstimate.at_least(lower, ["bound:euler"])
     return None
@@ -671,6 +677,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (GroupError, GraphError, FormulaError, SearchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DISAGREE
 
 
 if __name__ == "__main__":

@@ -5,10 +5,11 @@ traverse every directed edge exactly once and whose turn-by-turn
 behavior at each vertex forms a single rotation cycle.  Such a
 certificate pins down a genuine embedding, so Euler's formula gives the
 genus of the carrying surface.  This module verifies certificates,
-traces faces from rotation systems, constructs the three parameterized
-certificate families used for lattice genus upper bounds, and performs
-the edge-to-fan surgery that turns a gadget embedding into a subgroup
-lattice embedding.
+holds the face-tracing engine that turns rotation systems into faces
+(the one ``trace_faces`` and both searches use), constructs the three
+parameterized certificate families used for lattice genus upper bounds,
+and performs the edge-to-fan surgery that turns a gadget embedding into
+a subgroup lattice embedding.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ class CertificateError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
+
+
+class InvariantError(RuntimeError):
+    """The library contradicted itself: a bug, not bad input.  Raised
+    explicitly, not by ``assert``, so the check survives ``python -O``."""
 
 
 @dataclass
@@ -115,6 +121,23 @@ def verify_certificate(g: Graph, cert: EmbeddingCertificate) -> VerifiedGenus:
     mere directed double cover without single rotation cycles is
     rejected because Euler's formula would not apply to it.
     """
+    return _verify(g, cert)[0]
+
+
+def rotation_from_certificate(cert: EmbeddingCertificate) -> RotationSystem:
+    """Recover the rotation system whose face trace is cert.
+
+    The certificate is verified first; the turn map at each vertex is
+    then a single cycle, which is the rotation.
+    """
+    return RotationSystem(_verify(cert.graph, cert)[1])
+
+
+# not built on _Darts on purpose: the verifier checks what that engine produces
+def _verify(
+    g: Graph, cert: EmbeddingCertificate
+) -> tuple[VerifiedGenus, dict[str, tuple[str, ...]]]:
+    """verify_certificate's checks, plus the turn cycle at each vertex."""
     if not g.is_connected():
         raise CertificateError(
             "disconnected-graph", "can only certify embeddings of connected graphs"
@@ -151,22 +174,21 @@ def verify_certificate(g: Graph, cert: EmbeddingCertificate) -> VerifiedGenus:
     for walk in cert.faces:
         n = len(walk)
         for i in range(n):
-            prev, cur, nxt = walk[i - 1], walk[i], walk[(i + 1) % n]
-            succ[cur][prev] = nxt
+            succ[walk[i]][walk[i - 1]] = walk[(i + 1) % n]
+    order: dict[str, tuple[str, ...]] = {}
     for v in g.vertices:
         nbrs = g.neighbors(v)
-        start = nbrs[0]
-        seen = 1
-        cur = succ[v][start]
-        while cur != start:
-            cur = succ[v][cur]
-            seen += 1
-        if seen != len(nbrs):
+        # an isolated vertex has no turns, so its cycle stays empty
+        cycle = list(nbrs[:1])
+        while cycle and succ[v][cycle[-1]] != cycle[0]:
+            cycle.append(succ[v][cycle[-1]])
+        if len(cycle) != len(nbrs):
             raise CertificateError(
                 "vertex-cycle",
                 f"turns at {v!r} split into more than one cycle "
-                f"({seen} of {len(nbrs)} neighbors reached)",
+                f"({len(cycle)} of {len(nbrs)} neighbors reached)",
             )
+        order[v] = tuple(cycle)
 
     f = len(cert.faces)
     two_minus_2g = g.vertex_count - g.edge_count + f
@@ -176,31 +198,66 @@ def verify_certificate(g: Graph, cert: EmbeddingCertificate) -> VerifiedGenus:
             "bad-genus",
             f"V-E+F = {two_minus_2g} gives no orientable genus",
         )
-    return VerifiedGenus(f, genus2 // 2)
+    return VerifiedGenus(f, genus2 // 2), order
 
 
-def rotation_from_certificate(cert: EmbeddingCertificate) -> RotationSystem:
-    """Recover the rotation system whose face trace is cert.
+class _Darts:
+    """Integer dart tables: the engine that turns rotation systems (per
+    vertex id, neighbor ids in cyclic order) into faces.  Vertex ids
+    follow ``g.vertices`` and dart ids sorted (tail, head) labels."""
 
-    The certificate is verified first; the turn map at each vertex is
-    then a single cycle, which is the rotation.
-    """
-    verify_certificate(cert.graph, cert)
-    succ: dict[str, dict[str, str]] = {v: {} for v in cert.graph.vertices}
-    for walk in cert.faces:
-        n = len(walk)
-        for i in range(n):
-            succ[walk[i]][walk[i - 1]] = walk[(i + 1) % n]
-    order = {}
-    for v in cert.graph.vertices:
-        start = cert.graph.neighbors(v)[0]
-        seq = [start]
-        cur = succ[v][start]
-        while cur != start:
-            seq.append(cur)
-            cur = succ[v][cur]
-        order[v] = tuple(seq)
-    return RotationSystem(order)
+    def __init__(self, g: Graph):
+        self.vertices = g.vertices
+        self.vid = {v: i for i, v in enumerate(self.vertices)}
+        self.nbrs = [[self.vid[u] for u in g.neighbors(v)] for v in self.vertices]
+        self.dart_id: list[dict[int, int]] = []
+        self.tail: list[int] = []
+        for v, nb in enumerate(self.nbrs):
+            self.dart_id.append({u: len(self.tail) + i for i, u in enumerate(nb)})
+            self.tail.extend([v] * len(nb))
+        self.count = len(self.tail)
+
+    def next_array(self, rotation: list[list[int]]) -> list[int]:
+        """next[d] continues dart d's face: leaving (u,v), proceed from v
+        toward the neighbor after u in v's rotation."""
+        nxt = [0] * self.count
+        for v, rot in enumerate(rotation):
+            deg = len(rot)
+            row = self.dart_id[v]
+            for i, u in enumerate(rot):
+                nxt[self.dart_id[u][v]] = row[rot[(i + 1) % deg]]
+        return nxt
+
+    def face_count(self, rotation: list[list[int]]) -> int:
+        nxt = self.next_array(rotation)
+        seen = bytearray(self.count)
+        faces = 0
+        for d in range(self.count):
+            if seen[d]:
+                continue
+            faces += 1
+            cur = d
+            while not seen[cur]:
+                seen[cur] = 1
+                cur = nxt[cur]
+        return faces
+
+    def faces(self, rotation: list[list[int]]) -> tuple[tuple[str, ...], ...]:
+        """Face walks as label tuples, each from its lowest dart's tail."""
+        nxt = self.next_array(rotation)
+        seen = bytearray(self.count)
+        walks = []
+        for d in range(self.count):
+            if seen[d]:
+                continue
+            walk = []
+            cur = d
+            while not seen[cur]:
+                seen[cur] = 1
+                walk.append(self.vertices[self.tail[cur]])
+                cur = nxt[cur]
+            walks.append(tuple(walk))
+        return tuple(walks)
 
 
 def trace_faces(g: Graph, rot: RotationSystem) -> EmbeddingCertificate:
@@ -211,30 +268,9 @@ def trace_faces(g: Graph, rot: RotationSystem) -> EmbeddingCertificate:
     certificate invariants.
     """
     rot.validate(g)
-    index = {
-        v: {u: i for i, u in enumerate(nbrs)} for v, nbrs in rot.order.items()
-    }
-
-    def next_dart(u: str, v: str) -> tuple[str, str]:
-        nbrs = rot.order[v]
-        return v, nbrs[(index[v][u] + 1) % len(nbrs)]
-
-    darts = sorted(
-        [(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges]
-    )
-    seen: set[tuple[str, str]] = set()
-    faces = []
-    for start in darts:
-        if start in seen:
-            continue
-        walk = []
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            walk.append(cur[0])
-            cur = next_dart(*cur)
-        faces.append(tuple(walk))
-    return EmbeddingCertificate(g, tuple(faces))
+    darts = _Darts(g)
+    rotation = [[darts.vid[u] for u in rot.order[v]] for v in g.vertices]
+    return EmbeddingCertificate(g, darts.faces(rotation))
 
 
 def _verified_family(
@@ -244,7 +280,11 @@ def _verified_family(
     result = verify_certificate(g, cert)
     # the generators below are exact constructions; any deviation from
     # the published face and genus counts is a bug here, not bad input
-    assert result == VerifiedGenus(expect_faces, expect_genus), result
+    if result != VerifiedGenus(expect_faces, expect_genus):
+        raise InvariantError(
+            f"family certificate has {result.faces} faces and genus "
+            f"{result.genus}, expected {expect_faces} and {expect_genus}"
+        )
     return cert
 
 
@@ -423,7 +463,10 @@ def fan_expansion(
     new_cert = EmbeddingCertificate(new_graph, tuple(faces))
     before = verify_certificate(g, cert)
     after = verify_certificate(new_graph, new_cert)
-    assert after.genus == before.genus
+    if after.genus != before.genus:
+        raise InvariantError(
+            f"fan surgery changed the genus from {before.genus} to {after.genus}"
+        )
     return new_graph, new_cert
 
 

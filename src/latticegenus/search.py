@@ -20,8 +20,8 @@ from .formulas import GenusEstimate, euler_lower_bound_int
 from .graphs import Graph, block_decomposition, girth, is_planar
 from .embeddings import (
     EmbeddingCertificate,
-    RotationSystem,
-    trace_faces,
+    InvariantError,
+    _Darts,
     verify_certificate,
 )
 
@@ -97,57 +97,6 @@ def _face_target(g: Graph, target_genus: int) -> int:
     return 2 - 2 * target_genus - g.vertex_count + g.edge_count
 
 
-class _Darts:
-    """Integer dart tables for fast face tracing."""
-
-    def __init__(self, g: Graph):
-        self.vertices = sorted(g.vertices)
-        vid = {v: i for i, v in enumerate(self.vertices)}
-        self.nbrs = [[vid[u] for u in g.neighbors(v)] for v in self.vertices]
-        self.dart_id: list[dict[int, int]] = [dict() for _ in self.vertices]
-        self.tail: list[int] = []
-        self.head: list[int] = []
-        for u, v in sorted(g.edges):
-            for a, b in ((vid[u], vid[v]), (vid[v], vid[u])):
-                self.dart_id[a][b] = len(self.tail)
-                self.tail.append(a)
-                self.head.append(b)
-        self.count = len(self.tail)
-
-    def next_array(self, rotation: list[list[int]]) -> list[int]:
-        """next[d] continues dart d's face: leaving (u,v), proceed from v
-        toward the neighbor after u in v's rotation."""
-        nxt = [0] * self.count
-        for v, rot in enumerate(rotation):
-            deg = len(rot)
-            row = self.dart_id[v]
-            for i, u in enumerate(rot):
-                nxt[self.dart_id[u][v]] = row[rot[(i + 1) % deg]]
-        return nxt
-
-    def face_count(self, rotation: list[list[int]]) -> int:
-        nxt = self.next_array(rotation)
-        seen = bytearray(self.count)
-        faces = 0
-        for d in range(self.count):
-            if seen[d]:
-                continue
-            faces += 1
-            cur = d
-            while not seen[cur]:
-                seen[cur] = 1
-                cur = nxt[cur]
-        return faces
-
-    def to_rotation_system(self, rotation: list[list[int]]) -> RotationSystem:
-        return RotationSystem(
-            {
-                self.vertices[v]: tuple(self.vertices[u] for u in rot)
-                for v, rot in enumerate(rotation)
-            }
-        )
-
-
 def search_embedding(
     g: Graph,
     cfg: SearchConfig,
@@ -169,9 +118,12 @@ def search_embedding(
 
 def _certificate_from(g: Graph, darts: _Darts, rotation: list[list[int]],
                       target: int) -> EmbeddingCertificate:
-    cert = trace_faces(g, darts.to_rotation_system(rotation))
+    cert = EmbeddingCertificate(g, darts.faces(rotation))
     result = verify_certificate(g, cert)
-    assert result.genus <= target, (result, target)
+    if result.genus > target:
+        raise InvariantError(
+            f"search certificate has genus {result.genus}, above target {target}"
+        )
     return cert
 
 
@@ -311,23 +263,10 @@ def _search_exhaustive(g: Graph, cfg: SearchConfig) -> SearchOutcome:
             return False
         evaluations += 1
         if pos == nv:
-            faces = 0
-            seen = bytearray(darts.count)
-            for d in range(darts.count):
-                if seen[d]:
-                    continue
-                faces += 1
-                cur = d
-                while not seen[cur]:
-                    seen[cur] = 1
-                    cur = nxt[cur]
-            if faces >= f_target:
-                cert = _certificate_from(
-                    g, darts, [list(r) for r in rotation], cfg.target_genus
-                )
-                found.append(cert)
-                return True
-            return False
+            # with every rotation assigned no chain is open, so the
+            # bound() >= f_target that let us in is the exact face count
+            found.append(_certificate_from(g, darts, rotation, cfg.target_genus))
+            return True
         v = order[pos]
         nb = darts.nbrs[v]
         unassigned_degree -= len(nb)
@@ -367,7 +306,7 @@ def exact_genus_exhaustive(
             return verify_certificate(g, cert).genus, cert
         if outcome.status == "budget":
             raise SearchError("budget exhausted before genus was settled")
-    raise AssertionError("some rotation system must embed the graph")
+    raise InvariantError("some rotation system must embed the graph")
 
 
 def exact_genus_small(
@@ -418,7 +357,7 @@ def _exact_genus_block(g: Graph, budget: int, seed: int) -> GenusEstimate:
     if rotation_count(g) <= _SMALL_EXHAUSTIVE_LIMIT:
         genus, _cert = exact_genus_exhaustive(g)
         if genus < lower:
-            raise AssertionError(
+            raise InvariantError(
                 f"certificate genus {genus} beats lower bound {lower}"
             )
         return GenusEstimate.exactly(genus, lower_prov + ["search:exhaustive"])

@@ -2,9 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import latticegenus
+from latticegenus import VerifiedGenus
 from latticegenus.cli import main
 
 
@@ -139,6 +145,15 @@ def test_verify_rejects_a_corrupted_certificate(tmp_path, capsys):
     assert "violation edge-cover" in out
 
 
+def test_verify_one_vertex_certificate_is_a_violation(tmp_path, capsys):
+    one = tmp_path / "one.json"
+    one.write_text('{"graph":{"vertices":["a"],"edges":[]},"faces":[]}')
+    code, out, err = run(capsys, "verify", str(one))
+    assert code == 1
+    assert out == "violation bad-genus: V-E+F = 1 gives no orientable genus\n"
+    assert err == ""
+
+
 def test_verify_malformed_json_is_an_input_error(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
@@ -249,3 +264,55 @@ def test_input_errors_exit_two(capsys):
     assert run(capsys, "classify", "Z0")[0] == 2
     assert run(capsys, "minor", "Z4xZ4", "k7")[0] == 2
     assert run(capsys, "search", "Z4xZ4")[0] == 2
+
+
+def test_empty_grid_token_is_one_input_error(capsys):
+    # bounds, search and minor share the exponent-list parser
+    for argv in (
+        ["bounds", ","],
+        ["search", ",", "--genus", "1"],
+        ["minor", ",", "k33"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: empty exponent list ','\n")
+
+
+def test_search_certificate_above_target_is_a_disagreement(capsys, monkeypatch):
+    monkeypatch.setattr(
+        "latticegenus.search.verify_certificate",
+        lambda g, cert: VerifiedGenus(len(cert.faces), 99),
+    )
+    code, out, err = run(capsys, "search", "2,2", "--genus", "0", "--mode", "exhaustive")
+    assert code == 1
+    assert out == ""
+    assert err == "error: search certificate has genus 99, above target 0\n"
+
+
+def test_internal_checks_survive_optimized_python():
+    # under -O every assert is stripped; the search's genus check must
+    # still stop a wrong certificate and exit 1 with one error line
+    script = textwrap.dedent(
+        """
+        import sys
+        assert False, "stripped under -O, so this never fires"
+        import latticegenus.search
+        from latticegenus import VerifiedGenus
+        from latticegenus.cli import main
+        latticegenus.search.verify_certificate = (
+            lambda g, cert: VerifiedGenus(len(cert.faces), 99)
+        )
+        sys.exit(main(["search", "2,2", "--genus", "0", "--mode", "exhaustive"]))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(latticegenus.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: search certificate has genus 99, above target 0\n"

@@ -10,6 +10,7 @@ from latticegenus import (
     CertificateError,
     EmbeddingCertificate,
     Graph,
+    InvariantError,
     RotationSystem,
     VerifiedGenus,
     complete_bipartite,
@@ -204,6 +205,34 @@ def test_rejects_disconnected_graph():
     with pytest.raises(CertificateError) as err:
         verify_certificate(g, EmbeddingCertificate(g, faces))
     assert err.value.code == "disconnected-graph"
+
+
+def test_rejects_one_vertex_certificate_without_crashing():
+    # an isolated vertex has no turns; V-E+F = 1 is odd, so no surface
+    g = Graph("a", [])
+    cert = EmbeddingCertificate(g, ())
+    with pytest.raises(CertificateError) as err:
+        verify_certificate(g, cert)
+    assert err.value.code == "bad-genus"
+    assert str(err.value) == "V-E+F = 1 gives no orientable genus"
+    with pytest.raises(CertificateError):
+        rotation_from_certificate(cert)
+
+
+def test_family_and_fan_checks_raise_on_a_wrong_genus(monkeypatch):
+    # a verifier that disagrees with the published counts must stop the
+    # generators with an explicit error, not an assert
+    monkeypatch.setattr(
+        "latticegenus.embeddings.verify_certificate",
+        lambda g, cert: VerifiedGenus(len(cert.faces), g.vertex_count),
+    )
+    with pytest.raises(InvariantError):
+        gn_certificate(6)
+    cert = EmbeddingCertificate(
+        cycle_graph(4, prefix="C"), (("C0", "C1", "C2", "C3"), ("C3", "C2", "C1", "C0"))
+    )
+    with pytest.raises(InvariantError):
+        fan_expansion(cert.graph, cert, ("C0", "C1"), 2, ["w0", "w1"])
 
 
 def test_rotation_must_cover_the_vertex_set():
