@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .graphs import Graph, block_decomposition
-from .groups import GroupSpec
+from .groups import GroupSpec, _is_prime
 
 
 class FormulaError(ValueError):
@@ -351,8 +351,6 @@ def family_genus(family: str, p: int, q: int | None = None) -> GenusEstimate:
     Families over a second prime q require q != p; the two lower-bound
     families return open-ended estimates.
     """
-    from .groups import _is_prime
-
     if family not in _FAMILIES:
         raise FormulaError(f"unknown family {family!r}; expected one of {_FAMILIES}")
     if not _is_prime(p):

@@ -420,20 +420,27 @@ def _twin_quotient(g: Graph, classes: dict[tuple[str, str], list[str]]) -> "nx.G
 
 def _solve_isomorphism(g: Graph, h: Graph):
     g_classes, h_classes = _twin_classes(g), _twin_classes(h)
+
+    def ids(q: "nx.Graph", x: Graph) -> "nx.Graph":
+        # matchers iterate sets of nodes: integer ids (index in ``vertices``)
+        # keep the string hash seed from steering which mapping they return
+        return nx.relabel_nodes(q, {v: i for i, v in enumerate(x.vertices)})
     if not g_classes and not h_classes:
-        return nx.vf2pp_isomorphism(to_networkx(g), to_networkx(h))
-    # banks of parallel length-2 paths are interchangeable, which makes
-    # plain VF2 thrash; match the quotient and extend over each class
-    matcher = nx.isomorphism.GraphMatcher(
-        _twin_quotient(g, g_classes),
-        _twin_quotient(h, h_classes),
-        edge_match=nx.isomorphism.categorical_edge_match(
-            ["direct", "twins"], [1, 0]
-        ),
-    )
-    if not matcher.is_isomorphic():
+        found = nx.vf2pp_isomorphism(ids(to_networkx(g), g), ids(to_networkx(h), h))
+    else:
+        # banks of parallel length-2 paths are interchangeable, which makes
+        # plain VF2 thrash; match the quotient and extend over each class
+        matcher = nx.isomorphism.GraphMatcher(
+            ids(_twin_quotient(g, g_classes), g),
+            ids(_twin_quotient(h, h_classes), h),
+            edge_match=nx.isomorphism.categorical_edge_match(
+                ["direct", "twins"], [1, 0]
+            ),
+        )
+        found = matcher.mapping if matcher.is_isomorphic() else None
+    if found is None:
         return None
-    mapping = dict(matcher.mapping)
+    mapping = {g.vertices[a]: h.vertices[b] for a, b in found.items()}
     for (u, v), cls in g_classes.items():
         image = tuple(sorted((mapping[u], mapping[v])))
         for a, b in zip(sorted(cls), sorted(h_classes[image])):

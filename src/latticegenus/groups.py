@@ -1,23 +1,27 @@
 """Finite abelian groups, subgroup enumeration, and subgroup-lattice graphs.
 
-A group is given as a direct sum of cyclic prime-power factors.  Subgroups
-are enumerated by closing the set of cyclic subgroups under pairwise join,
-which is complete for abelian groups since every subgroup is generated by
-its cyclic pieces.  The lattice graph connects subgroups related by a
-covering inclusion.
+A group is given as a direct sum of cyclic prime-power factors.  Every
+subgroup is the product of one subgroup of each p-primary part, so each
+part is enumerated alone, by joining its cyclic subgroups one at a time
+onto every subgroup found so far.  That is complete for abelian groups
+since every subgroup is generated by its cyclic pieces, and a join adds
+whole cosets through one translation list per cyclic generator.  The
+lattice graph connects subgroups related by a covering inclusion, which
+is an inclusion of prime index.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .graphs import Graph
 
 DEFAULT_ORDER_CAP = 4096
 
-# full addition table is worth its quadratic build cost only up to here
-_TABLE_LIMIT = 1500
+# trial division gives up on a cofactor with no divisor up to here
+_TRIAL_BOUND = 2 * 10**6
 
 
 class GroupError(ValueError):
@@ -25,14 +29,7 @@ class GroupError(ValueError):
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and _prime_power_split(n) == [(n, 1)]
 
 
 @dataclass(frozen=True)
@@ -103,18 +100,24 @@ class GroupSpec:
 
 
 def _prime_power_split(m: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
+    """Split ``m`` into (prime, exponent) pairs by trial division up to
+    ``_TRIAL_BOUND``; a cofactor it cannot certify raises GroupError."""
+    out, n, d = [], m, 2
+    stop = min(math.isqrt(n), _TRIAL_BOUND)
+    while d <= stop:
+        if n % d == 0:
             k = 0
-            while m % d == 0:
-                m //= d
+            while n % d == 0:
+                n //= d
                 k += 1
             out.append((d, k))
+            stop = min(math.isqrt(n), _TRIAL_BOUND)
         d += 1
-    if m > 1:
-        out.append((m, 1))
+    # a cofactor with no divisor up to d - 1 is prime only below d * d
+    if d * d <= n:
+        raise GroupError(f"cannot factor {m}: no divisor found up to {_TRIAL_BOUND}")
+    if n > 1:
+        out.append((n, 1))
     return out
 
 
@@ -205,80 +208,64 @@ class SubgroupSet:
         }
 
 
+def _primary_subgroups(p: int, moduli: tuple[int, ...]) -> list[list[tuple]]:
+    """Every subgroup of the p-group with cyclic factors ``moduli``, as
+    lists of coordinate tuples.  Elements are indices into the coordinate
+    list; each distinct cyclic subgroup gets one generator ``a`` and one
+    translation list ``x -> x + a``, through which every subgroup found so
+    far is joined with ``<a>``."""
+    coords = list(itertools.product(*(range(m) for m in moduli)))
+    index_of = {t: i for i, t in enumerate(coords)}
+    found = {frozenset([0])}
+    covered = {0}
+    for a in range(len(coords)):
+        if a in covered:
+            continue
+        shift = [
+            index_of[tuple((x + y) % m for x, y, m in zip(t, coords[a], moduli))]
+            for t in coords
+        ]
+        # k*a generates <a> exactly when p does not divide k
+        cur, k = a, 1
+        while cur != 0:
+            if k % p:
+                covered.add(cur)
+            cur, k = shift[cur], k + 1
+        # found holds the subgroups generated by earlier generators, so
+        # joining each with <a> gives those generated by generators up to a
+        for sub in list(found):
+            if a in sub:
+                continue
+            # cosets sub + k*a are equal or disjoint, and the first one
+            # already present is sub itself
+            out, coset = set(sub), list(sub)
+            while shift[coset[0]] not in out:
+                coset = [shift[x] for x in coset]
+                out.update(coset)
+            found.add(frozenset(out))
+    return [[coords[i] for i in sub] for sub in found]
+
+
 def enumerate_subgroups(
     g: GroupSpec, order_cap: int | None = DEFAULT_ORDER_CAP
 ) -> SubgroupSet:
     """Enumerate every subgroup of ``g``.
 
-    Elements are encoded as indices into the lexicographic coordinate
-    list so subgroups are sets of small ints during the closure; groups
-    up to _TABLE_LIMIT get a precomputed addition table.
+    A finite abelian group is the product of its p-primary parts, and
+    every subgroup is the product of one subgroup of each part.  Each
+    part is enumerated by itself; canonical factor order keeps a prime's
+    factors adjacent, so a product subgroup's elements are the
+    concatenated coordinate tuples of its parts.
     """
     if order_cap is not None and g.order > order_cap:
         raise GroupError(f"group order {g.order} exceeds cap {order_cap}")
-    moduli = g.moduli
-    coords = list(itertools.product(*(range(m) for m in moduli)))
-    index_of = {t: i for i, t in enumerate(coords)}
-    n = len(coords)
-
-    if n <= _TABLE_LIMIT:
-        table = [
-            [
-                index_of[tuple((x + y) % m for x, y, m in zip(a, b, moduli))]
-                for b in coords
-            ]
-            for a in coords
-        ]
-
-        def add(a: int, b: int) -> int:
-            return table[a][b]
-
-    else:
-
-        def add(a: int, b: int) -> int:
-            ta, tb = coords[a], coords[b]
-            return index_of[tuple((x + y) % m for x, y, m in zip(ta, tb, moduli))]
-
-    def cyclic_from(a: int) -> frozenset[int]:
-        seen = {0}
-        cur = a
-        while cur != 0:
-            seen.add(cur)
-            cur = add(cur, a)
-        return frozenset(seen)
-
-    # one representative generator per distinct cyclic subgroup
-    cyclic: dict[frozenset[int], int] = {}
-    for a in range(n):
-        sub = cyclic_from(a)
-        if sub not in cyclic:
-            cyclic[sub] = a
-
-    def join(sub: frozenset[int], cyc: frozenset[int]) -> frozenset[int]:
-        # union of cosets sub + c; cosets already inside the running
-        # union can be skipped because sub + (sub + c) = sub + c
-        out = set(sub)
-        for c in cyc:
-            if c not in out:
-                out.update(add(c, s) for s in sub)
-        return frozenset(out)
-
-    found = set(cyclic)
-    frontier = list(cyclic)
-    while frontier:
-        grown = []
-        for sub in frontier:
-            for cyc, gen in cyclic.items():
-                if gen in sub:
-                    continue
-                joined = join(sub, cyc)
-                if joined not in found:
-                    found.add(joined)
-                    grown.append(joined)
-        frontier = grown
-
+    parts = [
+        _primary_subgroups(p, tuple(p**k for _, k in group))
+        for p, group in itertools.groupby(g.factors, key=lambda f: f[0])
+    ]
     subgroups = tuple(
-        Subgroup(frozenset(coords[i] for i in sub)) for sub in found
+        Subgroup(frozenset(sum(elems, ()) for elems in itertools.product(*combo)))
+        for combo in itertools.product(*parts)
     )
     return SubgroupSet(g, subgroups)
 
@@ -290,26 +277,25 @@ def subgroup_census(s: SubgroupSet) -> dict[int, int]:
 
 def build_lattice(s: SubgroupSet) -> Graph:
     """Build the lattice graph: an edge joins H and K exactly when one
-    contains the other with no subgroup strictly between."""
+    contains the other with no subgroup strictly between.
+
+    ``s`` must hold every subgroup of its group, as SubgroupSet does.
+    """
     labels = s.labels()
-    elems = [sub.elements for sub in s.subgroups]
-    orders = [sub.order for sub in s.subgroups]
-    m = len(elems)
-    ups: list[set[int]] = [set() for _ in range(m)]
-    downs: list[set[int]] = [set() for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if orders[i] < orders[j] and orders[j] % orders[i] == 0:
-                if elems[i] < elems[j]:
-                    ups[i].add(j)
-                    downs[j].add(i)
+    subs = s.subgroups
+    by_order: dict[int, list[int]] = {}
+    for j, sub in enumerate(subs):
+        by_order.setdefault(sub.order, []).append(j)
+    primes = {p for p, _ in s.group.factors}
     edges = []
-    for i in range(m):
-        for j in ups[i]:
-            # covering pair iff nothing sits strictly between
-            if not (ups[i] & downs[j]):
-                edges.append((labels[i], labels[j]))
-    return Graph(set(labels), edges)
+    for i, sub in enumerate(subs):
+        # H < K is a cover iff [K:H] is prime: the abelian K/H has a
+        # subgroup of every order dividing its own
+        for p in primes:
+            for j in by_order.get(sub.order * p, ()):
+                if sub.elements < subs[j].elements:
+                    edges.append((labels[i], labels[j]))
+    return Graph(labels, edges)
 
 
 def lattice_for(

@@ -316,3 +316,42 @@ def test_internal_checks_survive_optimized_python():
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == "error: search certificate has genus 99, above target 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "Z1000000000000000000000000000057"),
+        ("make-cert", "zppq", "1000000000000000000000000000057"),
+    ],
+)
+def test_orders_past_trial_division_are_input_errors(capsys, argv):
+    # a 31-digit prime has no divisor below the trial-division bound and
+    # is too large to be certified prime by it
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_fan_lift_bytes_do_not_depend_on_the_hash_seed(tmp_path, capsys):
+    src = os.path.dirname(os.path.dirname(latticegenus.__file__))
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "latticegenus.cli", "make-cert", "fan-lift", "5"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    cert_path = tmp_path / "lift.json"
+    cert_path.write_text(outs[0])
+    code, out, _ = run(capsys, "verify", str(cert_path))
+    assert code == 0
+    assert "genus 1 (39 faces)" in out
