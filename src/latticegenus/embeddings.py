@@ -6,10 +6,11 @@ behavior at each vertex forms a single rotation cycle.  Such a
 certificate pins down a genuine embedding, so Euler's formula gives the
 genus of the carrying surface.  This module verifies certificates,
 holds the face-tracing engine that turns rotation systems into faces
-(the one ``trace_faces`` and both searches use), constructs the three
-parameterized certificate families used for lattice genus upper bounds,
-and performs the edge-to-fan surgery that turns a gadget embedding into
-a subgroup lattice embedding.
+(the one ``trace_faces`` and both searches use; it also updates a face
+count after one swap in one rotation by tracing only the faces the swap
+touches), constructs the three parameterized certificate families used
+for lattice genus upper bounds, and performs the edge-to-fan surgery
+that turns a gadget embedding into a subgroup lattice embedding.
 """
 
 from __future__ import annotations
@@ -168,7 +169,11 @@ def _verify(
                     f"directed edge {d} traversed {count} times, expected once",
                 )
     # traversals had only real edges, so it must be empty now
-    assert not traversals
+    if traversals:
+        raise InvariantError(
+            f"directed edges {sorted(traversals)} passed has_edge but are "
+            "not edges of the graph"
+        )
 
     succ: dict[str, dict[str, str]] = {v: {} for v in g.vertices}
     for walk in cert.faces:
@@ -204,7 +209,12 @@ def _verify(
 class _Darts:
     """Integer dart tables: the engine that turns rotation systems (per
     vertex id, neighbor ids in cyclic order) into faces.  Vertex ids
-    follow ``g.vertices`` and dart ids sorted (tail, head) labels."""
+    follow ``g.vertices`` and dart ids sorted (tail, head) labels.
+
+    Faces are the cycles of a ``next`` array over dart ids.  A search
+    keeps one such array and moves through rotations by ``swap``, which
+    rewrites three entries; ``swap_delta`` gives the move's change in
+    face count by tracing at most two of the faces it touches."""
 
     def __init__(self, g: Graph):
         self.vertices = g.vertices
@@ -228,36 +238,83 @@ class _Darts:
                 nxt[self.dart_id[u][v]] = row[rot[(i + 1) % deg]]
         return nxt
 
-    def face_count(self, rotation: list[list[int]]) -> int:
-        nxt = self.next_array(rotation)
+    def orbits(self, nxt: list[int]) -> list[list[int]]:
+        """The cycles of nxt as dart lists, each from its lowest dart."""
         seen = bytearray(self.count)
-        faces = 0
+        cycles = []
         for d in range(self.count):
             if seen[d]:
                 continue
-            faces += 1
+            cycle = []
             cur = d
             while not seen[cur]:
                 seen[cur] = 1
+                cycle.append(cur)
                 cur = nxt[cur]
-        return faces
+            cycles.append(cycle)
+        return cycles
 
     def faces(self, rotation: list[list[int]]) -> tuple[tuple[str, ...], ...]:
         """Face walks as label tuples, each from its lowest dart's tail."""
-        nxt = self.next_array(rotation)
-        seen = bytearray(self.count)
-        walks = []
-        for d in range(self.count):
-            if seen[d]:
-                continue
-            walk = []
-            cur = d
-            while not seen[cur]:
-                seen[cur] = 1
-                walk.append(self.vertices[self.tail[cur]])
+        labels = [self.vertices[t] for t in self.tail]
+        return tuple(
+            tuple(labels[d] for d in cycle)
+            for cycle in self.orbits(self.next_array(rotation))
+        )
+
+    def swap_delta(self, nxt: list[int], rotation: list[list[int]],
+                   v: int, i: int) -> int:
+        """Change in face count if ``swap(nxt, rotation, v, i)`` ran; v
+        must have degree at least 3.
+
+        With rot = rotation[v] reading a, b, c, e around i (a == e at
+        degree 3), the swap sends x = (a,v), y = (b,v) and z = (c,v) to
+        the old targets of y, z and x: the new next array is the old one
+        composed with the 3-cycle (x y z).  That merges three distinct
+        faces into one (-2), splits a face met in the order x, z, y into
+        three (+2), and otherwise keeps the count (0).
+        """
+        rot = rotation[v]
+        deg = len(rot)
+        ids = self.dart_id
+        x = ids[rot[i - 1]][v]
+        y = ids[rot[i]][v]
+        z = ids[rot[(i + 1) % deg]][v]
+        cur = nxt[x]
+        while cur != x:
+            if cur == y:
+                return 0
+            if cur == z:
+                # x then z: +2 if y follows on the same face
                 cur = nxt[cur]
-            walks.append(tuple(walk))
-        return tuple(walks)
+                while cur != x:
+                    if cur == y:
+                        return 2
+                    cur = nxt[cur]
+                return 0
+            cur = nxt[cur]
+        # x's face misses y and z: do y and z share one?
+        cur = nxt[y]
+        while cur != y:
+            if cur == z:
+                return 0
+            cur = nxt[cur]
+        return -2
+
+    def swap(self, nxt: list[int], rotation: list[list[int]],
+             v: int, i: int) -> None:
+        """Trade rot[i] and rot[i+1] (cyclically) in rot = rotation[v] and
+        rewrite the three entries of nxt that change.  Running it twice
+        restores both."""
+        rot = rotation[v]
+        deg = len(rot)
+        j = (i + 1) % deg
+        rot[i], rot[j] = rot[j], rot[i]
+        ids = self.dart_id
+        row = ids[v]
+        nxt[ids[rot[i - 1]][v]] = row[rot[i]]
+        nxt[ids[rot[i]][v]] = row[rot[j]]
+        nxt[ids[rot[j]][v]] = row[rot[(j + 1) % deg]]
 
 
 def trace_faces(g: Graph, rot: RotationSystem) -> EmbeddingCertificate:

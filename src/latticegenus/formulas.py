@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .embeddings import InvariantError
 from .graphs import Graph, block_decomposition
 from .groups import GroupSpec, _is_prime
 
@@ -149,7 +150,11 @@ def genus_n111(n: int) -> int:
     if n < 1:
         raise FormulaError(f"parameter {n} must be positive")
     # closed form and the general odd-parameter formula must agree
-    assert white_genus((n, 1, 1, 1)) == n
+    general = white_genus((n, 1, 1, 1))
+    if general != n:
+        raise InvariantError(
+            f"genus_n111({n}) disagrees with white_genus, which gives {general}"
+        )
     return n
 
 

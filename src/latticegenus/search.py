@@ -3,9 +3,12 @@
 Two engines: a seeded annealing heuristic that climbs on face count
 (used for upper bounds via found certificates), and an exhaustive DFS
 over rotation systems with an admissible face-count prune (used to
-settle exact genus on small graphs).  Both only ever return
-certificates that pass independent verification, so the searches need
-not be trusted, only the verifier.
+settle exact genus on small graphs).  Both count faces incrementally:
+a heuristic move retraces only the faces its swap touches, and the DFS
+keeps its closed-face and open-chain tallies up to date as it assigns
+and unassigns rotations.  Both only ever return certificates that pass
+independent verification, so the searches need not be trusted, only
+the verifier.
 """
 
 from __future__ import annotations
@@ -141,7 +144,8 @@ def _search_heuristic(
         rotation = [list(nb) for nb in darts.nbrs]
         for rot in rotation:
             rng.shuffle(rot)
-        faces = darts.face_count(rotation)
+        nxt = darts.next_array(rotation)
+        faces = len(darts.orbits(nxt))
         evaluations += 1
         best = faces
         if faces >= f_target:
@@ -157,11 +161,9 @@ def _search_heuristic(
         step = 0
         while spent < slice_budget and stall < _STALL_CUTOFF:
             v = movable[rng.randrange(len(movable))]
-            rot = rotation[v]
-            i = rng.randrange(len(rot))
-            j = (i + 1) % len(rot)
-            rot[i], rot[j] = rot[j], rot[i]
-            new_faces = darts.face_count(rotation)
+            i = rng.randrange(len(rotation[v]))
+            # a rejected move is never applied, so it needs no undo
+            new_faces = faces + darts.swap_delta(nxt, rotation, v, i)
             spent += 1
             evaluations += 1
             step += 1
@@ -169,6 +171,7 @@ def _search_heuristic(
             if new_faces >= faces or rng.random() < math.exp(
                 (new_faces - faces) / temp
             ):
+                darts.swap(nxt, rotation, v, i)
                 faces = new_faces
                 if faces > best:
                     best = faces
@@ -181,11 +184,87 @@ def _search_heuristic(
                         progress(restart, best)
                     return SearchOutcome.found(cert, evaluations)
             else:
-                rot[i], rot[j] = rot[j], rot[i]
                 stall += 1
         if progress is not None:
             progress(restart, best)
     return SearchOutcome.budget_exceeded(evaluations)
+
+
+class _PartialRotation:
+    """A rotation system assigned vertex by vertex, with the face tallies
+    of the exhaustive prune kept up to date as the DFS runs.
+
+    Assigned turns link darts into closed faces and open chains (paths
+    of the partial next array).  A chain is known by its ends:
+    ``first[end]`` and ``last[start]`` name the other end and
+    ``length[start]`` its dart count.  ``unassign`` must undo the latest
+    ``assign`` still in force.  The DFS is LIFO, so an end entry that a
+    link left stale keeps its value until that link is undone, and
+    ``unassign`` reads each link back from those entries.
+    """
+
+    def __init__(self, darts: _Darts):
+        n = darts.count
+        self.dart_id = darts.dart_id
+        self.nxt = [-1] * n
+        self.first = list(range(n))
+        self.last = list(range(n))
+        self.length = [1] * n
+        self.closed = 0
+        self.chains = n
+        self.open_darts = n
+        self.unassigned_degree = n
+
+    def bound(self) -> int:
+        """Upper bound on the final face count: closed faces plus the
+        best the open chains and unassigned turns could still yield."""
+        return self.closed + min(
+            self.chains, self.open_darts // 2, self.unassigned_degree
+        )
+
+    def assign(self, v: int, rot: list[int]) -> None:
+        ids, nxt, first, last, length = (
+            self.dart_id, self.nxt, self.first, self.last, self.length
+        )
+        row = ids[v]
+        deg = len(rot)
+        for i, u in enumerate(rot):
+            d = ids[u][v]
+            t = row[rot[(i + 1) % deg]]
+            nxt[d] = t
+            s = first[d]
+            if s == t:
+                # d ends the chain that t starts: it closes into a face
+                self.closed += 1
+                self.open_darts -= length[s]
+            else:
+                e = last[t]
+                last[s] = e
+                first[e] = s
+                length[s] += length[t]
+        self.chains -= deg
+        self.unassigned_degree -= deg
+
+    def unassign(self, v: int, rot: list[int]) -> None:
+        ids, nxt, first, last, length = (
+            self.dart_id, self.nxt, self.first, self.last, self.length
+        )
+        for u in reversed(rot):
+            d = ids[u][v]
+            t = nxt[d]
+            nxt[d] = -1
+            s = first[d]
+            if s == t:
+                self.closed -= 1
+                self.open_darts += length[s]
+            else:
+                e = last[t]
+                last[s] = d
+                first[e] = t
+                length[s] -= length[t]
+        deg = len(rot)
+        self.chains += deg
+        self.unassigned_degree += deg
 
 
 def _search_exhaustive(g: Graph, cfg: SearchConfig) -> SearchOutcome:
@@ -211,54 +290,13 @@ def _search_exhaustive(g: Graph, cfg: SearchConfig) -> SearchOutcome:
                 order.append(u)
         qi += 1
 
-    nxt = [-1] * darts.count
-    unassigned_degree = sum(len(nb) for nb in darts.nbrs)
+    state = _PartialRotation(darts)
     rotation: list[list[int] | None] = [None] * nv
     evaluations = 0
     found: list[EmbeddingCertificate] = []
 
-    def bound() -> int:
-        # upper bound on the final face count: closed faces plus the
-        # best the open chains and unassigned turns could still yield
-        pred_known = bytearray(darts.count)
-        for d in range(darts.count):
-            if nxt[d] >= 0:
-                pred_known[nxt[d]] = 1
-        visited = bytearray(darts.count)
-        chains = 0
-        open_darts = 0
-        for d in range(darts.count):
-            if pred_known[d] or visited[d]:
-                continue
-            chains += 1
-            cur = d
-            while cur >= 0 and not visited[cur]:
-                visited[cur] = 1
-                open_darts += 1
-                cur = nxt[cur]
-        closed = 0
-        for d in range(darts.count):
-            if visited[d]:
-                continue
-            closed += 1
-            cur = d
-            while not visited[cur]:
-                visited[cur] = 1
-                cur = nxt[cur]
-        return closed + min(chains, open_darts // 2, unassigned_degree)
-
-    def assign(v: int, rot: list[int]) -> None:
-        row = darts.dart_id[v]
-        deg = len(rot)
-        for i, u in enumerate(rot):
-            nxt[darts.dart_id[u][v]] = row[rot[(i + 1) % deg]]
-
-    def unassign(v: int, rot: list[int]) -> None:
-        for u in rot:
-            nxt[darts.dart_id[u][v]] = -1
-
     def dfs(pos: int) -> bool:
-        nonlocal evaluations, unassigned_degree
+        nonlocal evaluations
         if evaluations >= cfg.budget:
             return False
         evaluations += 1
@@ -269,19 +307,17 @@ def _search_exhaustive(g: Graph, cfg: SearchConfig) -> SearchOutcome:
             return True
         v = order[pos]
         nb = darts.nbrs[v]
-        unassigned_degree -= len(nb)
         first, rest = nb[0], nb[1:]
         for perm in itertools.permutations(rest):
             rot = [first, *perm]
-            assign(v, rot)
+            state.assign(v, rot)
             rotation[v] = rot
-            if bound() >= f_target and dfs(pos + 1):
+            if state.bound() >= f_target and dfs(pos + 1):
                 return True
-            unassign(v, rot)
+            state.unassign(v, rot)
             rotation[v] = None
             if evaluations >= cfg.budget:
                 break
-        unassigned_degree += len(nb)
         return False
 
     if dfs(0):
@@ -289,6 +325,12 @@ def _search_exhaustive(g: Graph, cfg: SearchConfig) -> SearchOutcome:
     if evaluations >= cfg.budget:
         return SearchOutcome.budget_exceeded(evaluations)
     return SearchOutcome.exhausted(evaluations)
+
+
+def _found_certificate(outcome: SearchOutcome) -> EmbeddingCertificate:
+    if outcome.certificate is None:
+        raise InvariantError("search reported found without a certificate")
+    return outcome.certificate
 
 
 def exact_genus_exhaustive(
@@ -301,8 +343,7 @@ def exact_genus_exhaustive(
             g, SearchConfig(target, mode="exhaustive", budget=budget)
         )
         if outcome.status == "found":
-            cert = outcome.certificate
-            assert cert is not None
+            cert = _found_certificate(outcome)
             return verify_certificate(g, cert).genus, cert
         if outcome.status == "budget":
             raise SearchError("budget exhausted before genus was settled")
@@ -367,9 +408,7 @@ def _exact_genus_block(g: Graph, budget: int, seed: int) -> GenusEstimate:
             g, SearchConfig(target, mode="heuristic", seed=seed, budget=budget)
         )
         if outcome.status == "found":
-            cert = outcome.certificate
-            assert cert is not None
-            upper = verify_certificate(g, cert).genus
+            upper = verify_certificate(g, _found_certificate(outcome)).genus
             return GenusEstimate(
                 lower,
                 upper,

@@ -318,6 +318,60 @@ def test_internal_checks_survive_optimized_python():
     assert proc.stderr == "error: search certificate has genus 99, above target 0\n"
 
 
+def test_invariant_errors_survive_optimized_python():
+    # each library self-check that used to be an assert must still raise
+    # InvariantError under -O when its invariant is broken on purpose
+    script = textwrap.dedent(
+        """
+        assert False, "stripped under -O, so this never fires"
+        import latticegenus.formulas as formulas
+        import latticegenus.search as search
+        from latticegenus import (
+            EmbeddingCertificate, Graph, InvariantError, SearchOutcome,
+            complete_bipartite, verify_certificate,
+        )
+
+        def check(name, call):
+            try:
+                call()
+            except InvariantError:
+                print(name, "raised")
+            else:
+                print(name, "passed")
+
+        formulas.white_genus = lambda exponents: 0
+        check("genus_n111", lambda: formulas.genus_n111(2))
+
+        search.search_embedding = lambda g, cfg: SearchOutcome("found", None, 1)
+        check("exhaustive", lambda: search.exact_genus_exhaustive(
+            complete_bipartite(3, 3)))
+        check("heuristic", lambda: search.exact_genus_small(
+            complete_bipartite(4, 4)))
+
+        # a has_edge that admits every pair lets a non-edge into the
+        # traversal count, which the edge-cover pass then leaves behind
+        Graph.has_edge = lambda self, u, v: True
+        g = complete_bipartite(1, 2)
+        faces = (("L1", "R1", "L1", "R2"), ("R1", "R2"))
+        check("verifier", lambda: verify_certificate(
+            g, EmbeddingCertificate(g, faces)))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(latticegenus.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "genus_n111 raised\nexhaustive raised\nheuristic raised\nverifier raised\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,22 +1,29 @@
-"""The face-tracing engine against a slow reference, and the searches
-that run on it against pinned evaluation counts and faces."""
+"""The face-tracing engine against slow references, the incremental face
+counts of both searches against full recounts, and the searches against
+pinned evaluation counts and faces."""
 
 import json
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import latticegenus.search as search
 from latticegenus import (
+    Graph,
     RotationSystem,
     SearchConfig,
     complete_bipartite,
+    exact_genus_exhaustive,
     gn_graph,
     lattice_for,
     search_embedding,
     trace_faces,
     zppq_graph,
 )
+from latticegenus.embeddings import _Darts
 
 PINS = json.loads((Path(__file__).parent / "search_pins.json").read_text())
 
@@ -78,6 +85,155 @@ def test_engine_faces_equal_the_reference_exactly(build):
         # same walks, same starting vertex, same order: not just the
         # same embedding up to canonical form
         assert trace_faces(g, rot).faces == reference_faces(g, rot)
+
+
+def reference_face_count(darts, rotation):
+    """The full retrace the heuristic ran on every move before its
+    counts became incremental: rebuild next, walk all 2E darts."""
+    nxt = darts.next_array(rotation)
+    seen = bytearray(darts.count)
+    faces = 0
+    for d in range(darts.count):
+        if seen[d]:
+            continue
+        faces += 1
+        cur = d
+        while not seen[cur]:
+            seen[cur] = 1
+            cur = nxt[cur]
+    return faces
+
+
+def reference_bound(nxt, unassigned_degree):
+    """The exhaustive prune's bound as it was before its tallies became
+    incremental: three scans over every dart of the partial next array
+    (-1 where the turn is not assigned yet)."""
+    count = len(nxt)
+    # upper bound on the final face count: closed faces plus the
+    # best the open chains and unassigned turns could still yield
+    pred_known = bytearray(count)
+    for d in range(count):
+        if nxt[d] >= 0:
+            pred_known[nxt[d]] = 1
+    visited = bytearray(count)
+    chains = 0
+    open_darts = 0
+    for d in range(count):
+        if pred_known[d] or visited[d]:
+            continue
+        chains += 1
+        cur = d
+        while cur >= 0 and not visited[cur]:
+            visited[cur] = 1
+            open_darts += 1
+            cur = nxt[cur]
+    closed = 0
+    for d in range(count):
+        if visited[d]:
+            continue
+        closed += 1
+        cur = d
+        while not visited[cur]:
+            visited[cur] = 1
+            cur = nxt[cur]
+    return closed + min(chains, open_darts // 2, unassigned_degree)
+
+
+def _check_swaps(g, rng, moves):
+    """Random swaps at vertices of degree >= 3, each kept or reverted at
+    random; after every swap and every revert the next array and the
+    incremental face count must equal a full rebuild and recount."""
+    darts = _Darts(g)
+    movable = [v for v, nb in enumerate(darts.nbrs) if len(nb) >= 3]
+    rotation = [list(nb) for nb in darts.nbrs]
+    for rot in rotation:
+        rng.shuffle(rot)
+    nxt = darts.next_array(rotation)
+    faces = len(darts.orbits(nxt))
+    assert faces == reference_face_count(darts, rotation)
+    for _ in range(moves if movable else 0):
+        v = rng.choice(movable)
+        i = rng.randrange(len(rotation[v]))
+        delta = darts.swap_delta(nxt, rotation, v, i)
+        darts.swap(nxt, rotation, v, i)
+        assert nxt == darts.next_array(rotation)
+        assert faces + delta == reference_face_count(darts, rotation)
+        if rng.random() < 0.5:
+            darts.swap(nxt, rotation, v, i)
+            assert nxt == darts.next_array(rotation)
+            assert faces == reference_face_count(darts, rotation)
+        else:
+            faces += delta
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: complete_bipartite(3, 3),
+        lambda: gn_graph(6),
+        lambda: zppq_graph(5),
+        lambda: lattice_for("Z4xZ4"),
+        lambda: lattice_for("Z2xZ2xZ3"),
+        lambda: lattice_for("Z360"),
+    ],
+    ids=["k33", "gn6", "zppq5", "Z4xZ4", "Z2xZ2xZ3", "Z360"],
+)
+def test_swap_face_counts_equal_a_full_recount(build):
+    g = build()
+    rng = random.Random(20261018)
+    for _ in range(4):
+        _check_swaps(g, rng, 150)
+
+
+@st.composite
+def _connected_graphs(draw):
+    n = draw(st.integers(3, 9))
+    labels = [f"v{i}" for i in range(n)]
+    # a random spanning tree keeps the graph connected; extra edges on
+    # top raise degrees past 3 so there are moves to make
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    return Graph(labels, [(labels[i], labels[j]) for i, j in sorted(edges)])
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(g=_connected_graphs(), seed=st.integers(0, 2**32 - 1))
+def test_swap_face_counts_equal_a_full_recount_on_random_graphs(g, seed):
+    _check_swaps(g, random.Random(seed), 40)
+
+
+def _petersen():
+    outer = [f"o{i}" for i in range(5)]
+    inner = [f"i{i}" for i in range(5)]
+    edges = [(outer[i], outer[(i + 1) % 5]) for i in range(5)]
+    edges += [(outer[i], inner[i]) for i in range(5)]
+    edges += [(inner[i], inner[(i + 2) % 5]) for i in range(5)]
+    return Graph(outer + inner, edges)
+
+
+@pytest.mark.parametrize(
+    "build, genus",
+    [
+        (lambda: complete_bipartite(3, 3), 1),
+        (lambda: complete_bipartite(3, 4), 1),
+        (_petersen, 1),
+    ],
+    ids=["k33", "k34", "petersen"],
+)
+def test_prune_tallies_equal_the_rescan_at_every_node(monkeypatch, build, genus):
+    tallied = search._PartialRotation.bound
+    checked = []
+
+    def rescanned(state):
+        value = tallied(state)
+        assert value == reference_bound(state.nxt, state.unassigned_degree)
+        checked.append(value)
+        return value
+
+    monkeypatch.setattr(search._PartialRotation, "bound", rescanned)
+    assert exact_genus_exhaustive(build())[0] == genus
+    assert len(checked) > 10
 
 
 def _pinned(outcome):
