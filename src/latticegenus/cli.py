@@ -20,38 +20,25 @@ from .embeddings import (
     CertificateError,
     EmbeddingCertificate,
     InvariantError,
-    fan_expansion,
+    fan_lift_certificate,
     gn_certificate,
     hn_certificate,
-    lift_certificate_to_lattice,
     verify_certificate,
     zppq_certificate,
 )
-from .formulas import (
-    AbelianClass,
-    FormulaError,
-    GenusEstimate,
-    classify_abelian,
-    estimate_grid_genus,
-    euler_lower_bound_int,
-    family_genus,
-    genus_complete_bipartite,
+from .evidence import (
+    MINOR_BUDGET_DEFAULT,
+    MINOR_PATTERNS,
+    SEARCH_BUDGET_DEFAULT,
+    crosscheck_rows,
+    group_bounds,
 )
-from .graphs import (
-    Graph,
-    GraphError,
-    complete_bipartite,
-    double_k33_pattern,
-    find_minor,
-    girth,
-    grid_graph,
-    is_planar,
-)
+from .formulas import FormulaError, GenusEstimate, classify_abelian, estimate_grid_genus
+from .graphs import Graph, GraphError, find_minor, grid_graph
 from .groups import (
     DEFAULT_ORDER_CAP,
     GroupError,
     GroupSpec,
-    _is_prime,
     build_lattice,
     enumerate_subgroups,
     lattice_for,
@@ -63,9 +50,6 @@ EXIT_OK = 0
 EXIT_DISAGREE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
-
-SEARCH_BUDGET_DEFAULT = 10**6
-MINOR_BUDGET_DEFAULT = 10**7
 
 
 def _dumps(obj) -> str:
@@ -86,26 +70,29 @@ def _estimate_text(est: GenusEstimate) -> str:
     return head + " (" + ", ".join(est.provenance) + ")"
 
 
-def _grid_exponents(text: str) -> tuple[int, ...] | None:
-    """Exponents of a grid token like 2,2,3; None if text names a group."""
+def _target(
+    text: str, order_cap: int | None
+) -> tuple[str, tuple[int, ...] | GroupSpec]:
+    """Parse a target token and name it: a grid exponent list like 2,2,3,
+    or else a group expression."""
     stripped = text.strip()
-    if not (stripped and all(ch.isdigit() or ch == "," for ch in stripped)):
-        return None
-    exps = tuple(int(tok) for tok in stripped.split(",") if tok)
-    if not exps:
-        raise GraphError(f"empty exponent list {text!r}")
-    return exps
+    # isdecimal, not isdigit: superscripts are digits that int() rejects
+    if stripped and all(ch.isdecimal() or ch == "," for ch in stripped):
+        exps = tuple(int(tok) for tok in stripped.split(",") if tok)
+        if not exps:
+            raise GraphError(f"empty exponent list {text!r}")
+        return "grid " + ",".join(map(str, exps)), exps
+    spec = parse_group_spec(stripped, order_cap=order_cap)
+    return spec.name(), spec
 
 
 def _target_graph(text: str, order_cap: int | None) -> tuple[str, Graph]:
-    """Resolve a target token: a grid exponent list like 2,2,3 builds a
-    grid graph, anything else is parsed as a group expression whose
-    subgroup lattice is built."""
-    exps = _grid_exponents(text)
-    if exps is not None:
-        return "grid " + ",".join(map(str, exps)), grid_graph(exps)
-    spec = parse_group_spec(text.strip(), order_cap=order_cap)
-    return spec.name(), lattice_for(spec, order_cap=order_cap)
+    """A target's name and graph: the grid graph, or the group's subgroup
+    lattice."""
+    name, target = _target(text, order_cap)
+    if isinstance(target, GroupSpec):
+        return name, lattice_for(target, order_cap=order_cap)
+    return name, grid_graph(target)
 
 
 # ---------------------------------------------------------------- group
@@ -151,64 +138,12 @@ def cmd_grid(args) -> int:
 # --------------------------------------------------------------- bounds
 
 
-def _family_estimate(spec: GroupSpec) -> GenusEstimate | None:
-    """Closed-form genus for the parameterized lattice families, when
-    the factor pattern matches one."""
-    pattern = spec.prime_pattern()
-    primes = sorted(pattern)
-    if len(primes) == 1:
-        p = primes[0]
-        exps = pattern[p]
-        if exps == (2, 2):
-            return family_genus("Zp2xZp2", p)
-        if exps == (3, 2):
-            return family_genus("Zp3xZp2", p)
-        if exps == (1, 1, 1):
-            return family_genus("ZpxZpxZp", p)
-        return None
-    if len(primes) == 2:
-        a, b = primes
-        for p, q in ((a, b), (b, a)):
-            if pattern[p] == (1, 1) and pattern[q] == (1,):
-                return family_genus("ZpxZpxZq", p, q)
-            if pattern[p] == (1, 1) and pattern[q] == (2,):
-                return family_genus("ZpxZpxZq2", p, q)
-    return None
-
-
-def _group_bounds(spec: GroupSpec, order_cap: int | None) -> GenusEstimate:
-    if spec.is_cyclic:
-        # a cyclic group's lattice is exactly the divisor grid
-        return estimate_grid_genus(spec.exponents)
-    cls = classify_abelian(spec)
-    est = GenusEstimate(
-        cls.lower, cls.upper, cls.upper == cls.lower, (f"table:abelian:{cls.label}",)
-    )
-    fam = _family_estimate(spec)
-    if fam is not None:
-        est = est.merge(fam)
-    lattice = lattice_for(spec, order_cap=order_cap)
-    if is_planar(lattice):
-        est = est.merge(GenusEstimate.exactly(0, ["planarity"]))
-    else:
-        est = est.merge(GenusEstimate.at_least(1, ["nonplanar"]))
-        gi = girth(lattice)
-        # the quadrilateral Euler bound needs girth >= 4
-        if gi >= 4:
-            lower = euler_lower_bound_int(lattice.vertex_count, lattice.edge_count)
-            est = est.merge(GenusEstimate.at_least(lower, ["bound:euler"]))
-    return est
-
-
 def cmd_bounds(args) -> int:
-    exps = _grid_exponents(args.target)
-    if exps is not None:
-        name = "grid " + ",".join(map(str, exps))
-        est = estimate_grid_genus(exps)
+    name, target = _target(args.target, args.order_cap)
+    if isinstance(target, GroupSpec):
+        est = group_bounds(target, args.order_cap)
     else:
-        spec = parse_group_spec(args.target.strip(), order_cap=args.order_cap)
-        name = spec.name()
-        est = _group_bounds(spec, args.order_cap)
+        est = estimate_grid_genus(target)
     if args.json:
         doc = est.to_json_dict()
         doc["target"] = name
@@ -280,24 +215,6 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------------- make-cert
 
 
-def _fan_lift_certificate(p: int) -> EmbeddingCertificate:
-    """Embedding certificate for the lattice of the square of a cyclic
-    group of order p**2, built by fanning every rim edge of the gadget
-    embedding and relabeling onto the real lattice."""
-    if not _is_prime(p) or (p + 1) % 4 != 2:
-        raise CertificateError(
-            "bad-parameter", f"fan lift needs a prime p with p+1 = 2 mod 4, got {p}"
-        )
-    n = p + 1
-    cert = gn_certificate(n)
-    g = cert.graph
-    for i in range(1, n + 1):
-        labels = [f"fan{i}_{j}" for j in range(1, p + 1)]
-        g, cert = fan_expansion(g, cert, (f"alpha_{i}", f"beta_{i}"), p, labels)
-    lattice = lattice_for(f"Z{p * p}xZ{p * p}", order_cap=None)
-    return lift_certificate_to_lattice(cert, lattice)
-
-
 def cmd_make_cert(args) -> int:
     if args.family == "gn":
         cert = gn_certificate(args.parameter)
@@ -306,7 +223,7 @@ def cmd_make_cert(args) -> int:
     elif args.family == "zppq":
         cert = zppq_certificate(args.parameter)
     else:
-        cert = _fan_lift_certificate(args.parameter)
+        cert = fan_lift_certificate(args.parameter)
     _print_doc(cert.to_json_dict())
     return EXIT_OK
 
@@ -361,23 +278,9 @@ def cmd_search(args) -> int:
 # ---------------------------------------------------------------- minor
 
 
-_PATTERN_NAMES = ("bowtie", "k33", "k5", "k64")
-
-
-def _named_pattern(name: str) -> Graph:
-    if name == "bowtie":
-        return double_k33_pattern()
-    if name == "k33":
-        return complete_bipartite(3, 3)
-    if name == "k64":
-        return complete_bipartite(6, 4)
-    verts = [f"v{i}" for i in range(1, 6)]
-    return Graph(verts, [(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :]])
-
-
 def cmd_minor(args) -> int:
     name, host = _target_graph(args.host, args.order_cap)
-    pattern = _named_pattern(args.pattern)
+    pattern = MINOR_PATTERNS[args.pattern]()
     budget = args.budget if args.budget is not None else MINOR_BUDGET_DEFAULT
     result = find_minor(host, pattern, budget)
     if result.witness is not None:
@@ -414,155 +317,41 @@ def cmd_minor(args) -> int:
 # ------------------------------------------------------------ crosscheck
 
 
-# classification prediction vs independent evidence, one row per group;
-# evidence tags: planar = planarity test, torus-search = heuristic
-# genus-1 certificate, fan-lift = constructed certificate, minor-* =
-# witness forcing genus >= 2, euler = edge-count lower bound
-_ROSTER: tuple[tuple[str, str], ...] = (
-    ("Z8", "planar"),
-    ("Z30", "planar"),
-    ("Z60", "planar"),
-    ("Z72", "planar"),
-    ("Z4xZ2", "planar"),
-    ("Z32xZ2", "planar"),
-    ("Z9xZ3", "planar"),
-    ("Z25xZ5", "planar"),
-    ("Z4xZ4", "torus-search"),
-    ("Z8xZ4", "torus-search"),
-    ("Z9xZ9", "torus-search"),
-    ("Z25xZ25", "fan-lift"),
-    ("Z2xZ2xZ3", "torus-search"),
-    ("Z2xZ2xZ5", "torus-search"),
-    ("Z3xZ3xZ2", "torus-search"),
-    ("Z3xZ3xZ5", "torus-search"),
-    ("Z4xZ2xZ3", "torus-search"),
-    ("Z4xZ2xZ5", "torus-search"),
-    ("Z180", "torus-search"),
-    ("Z210", "torus-search"),
-    ("Z360", "torus-search"),
-    ("Z1080", "torus-search"),
-    ("Z16xZ4", "minor-bowtie"),
-    ("Z8xZ8", "minor-bowtie"),
-    ("Z27xZ27", "minor-bowtie"),
-    ("Z8xZ2xZ3", "minor-bowtie"),
-    ("Z9xZ3xZ2", "minor-bowtie"),
-    ("Z2xZ2xZ9", "minor-bowtie"),
-    ("Z3xZ3xZ4", "minor-k64"),
-    ("Z4xZ4xZ3", "euler"),
-    ("Z2xZ2xZ3xZ3", "euler"),
-    ("Z3xZ3xZ2xZ5", "euler"),
-    ("Z1260", "euler"),
-)
-
-
-def _row_evidence(
-    spec: GroupSpec, tag: str, seed: int, budget: int | None
-) -> GenusEstimate | None:
-    """Independent genus evidence for one roster row, or None when the
-    budget ran out before the needed bound was established."""
-    lattice = lattice_for(spec, order_cap=None)
-    if tag == "planar":
-        if is_planar(lattice):
-            return GenusEstimate.exactly(0, ["planarity"])
-        return GenusEstimate.at_least(1, ["nonplanar"])
-    if tag == "torus-search":
-        if is_planar(lattice):
-            return GenusEstimate.exactly(0, ["planarity"])
-        cfg = SearchConfig(
-            target_genus=1,
-            seed=seed,
-            budget=budget if budget is not None else SEARCH_BUDGET_DEFAULT,
-        )
-        outcome = search_embedding(lattice, cfg)
-        if outcome.status == "found":
-            return GenusEstimate.exactly(1, ["nonplanar", "certificate:search"])
-        return None
-    if tag == "fan-lift":
-        if is_planar(lattice):
-            return GenusEstimate.exactly(0, ["planarity"])
-        p = sorted(spec.prime_pattern())[0]
-        cert = _fan_lift_certificate(p)
-        genus = verify_certificate(cert.graph, cert).genus
-        return GenusEstimate.exactly(genus, ["nonplanar", "certificate:fan-lift"])
-    if tag in ("minor-bowtie", "minor-k64"):
-        if tag == "minor-bowtie":
-            pattern = double_k33_pattern()
-            # two K33 blocks sharing a cut vertex: genus adds over blocks
-            lower = 2 * genus_complete_bipartite(3, 3)
-            provenance = ["minor:double-k33", "block-additivity"]
-        else:
-            pattern = complete_bipartite(6, 4)
-            lower = genus_complete_bipartite(6, 4)
-            provenance = ["minor:k6-4", "formula:complete-bipartite"]
-        result = find_minor(
-            lattice, pattern, budget if budget is not None else MINOR_BUDGET_DEFAULT
-        )
-        if result.witness is not None:
-            return GenusEstimate.at_least(lower, provenance)
-        return None
-    gi = girth(lattice)
-    if gi >= 4:
-        lower = euler_lower_bound_int(lattice.vertex_count, lattice.edge_count)
-        return GenusEstimate.at_least(lower, ["bound:euler"])
-    return None
-
-
-def _row_agrees(predicted: AbelianClass, est: GenusEstimate) -> bool:
-    if predicted.label == "Genus0":
-        return est.exact and est.lower == 0
-    if predicted.label == "Genus1":
-        return est.exact and est.lower == 1
-    return est.lower >= 2
-
-
 def cmd_crosscheck(args) -> int:
-    disagreements = 0
-    inconclusive = 0
-    for text, tag in _ROSTER:
-        spec = parse_group_spec(text, order_cap=None)
-        predicted = classify_abelian(spec)
-        est = _row_evidence(spec, tag, args.seed, args.budget)
-        if est is None:
-            inconclusive += 1
-            agree = None
-            status = "inconclusive"
-        elif _row_agrees(predicted, est):
-            agree = True
-            status = "agree"
-        else:
-            disagreements += 1
-            agree = False
-            status = "DISAGREE"
+    rows = disagreements = inconclusive = 0
+    for row in crosscheck_rows(args.seed, args.budget):
+        rows += 1
+        disagreements += row.status == "DISAGREE"
+        inconclusive += row.status == "inconclusive"
+        est = row.estimate
         if args.json:
-            row = {
-                "agree": agree,
-                "evidence": tag,
-                "group": spec.name(),
-                "predicted": predicted.label,
+            doc = {
+                "agree": None if est is None else row.status == "agree",
+                "evidence": row.tag,
+                "group": row.spec.name(),
+                "predicted": row.predicted.label,
             }
             if est is not None:
-                row["estimate"] = est.to_json_dict()
-            print(_dumps(row), flush=True)
+                doc["estimate"] = est.to_json_dict()
+            print(_dumps(doc), flush=True)
         else:
             shown = (
                 _estimate_text(est) if est is not None else "no evidence within budget"
             )
             print(
-                f"{spec.name():14} {predicted.label:11} {tag:13} {shown:44} {status}",
+                f"{row.spec.name():14} {row.predicted.label:11} {row.tag:13}"
+                f" {shown:44} {row.status}",
                 flush=True,
             )
     summary = {
         "disagreements": disagreements,
         "inconclusive": inconclusive,
-        "rows": len(_ROSTER),
+        "rows": rows,
     }
     if args.json:
         print(_dumps(summary))
     else:
-        print(
-            f"{len(_ROSTER)} rows: {disagreements} disagreements,"
-            f" {inconclusive} inconclusive"
-        )
+        print(f"{rows} rows: {disagreements} disagreements, {inconclusive} inconclusive")
     if disagreements:
         return EXIT_DISAGREE
     if inconclusive:
@@ -650,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minor", parents=[shared], help="search for a named minor")
     p.add_argument("host", help="group expression or comma list of grid exponents")
-    p.add_argument("pattern", choices=_PATTERN_NAMES)
+    p.add_argument("pattern", choices=tuple(MINOR_PATTERNS))
     p.set_defaults(func=cmd_minor)
 
     p = sub.add_parser(

@@ -10,16 +10,17 @@ holds the face-tracing engine that turns rotation systems into faces
 count after one swap in one rotation by tracing only the faces the swap
 touches), constructs the three parameterized certificate families used
 for lattice genus upper bounds, and performs the edge-to-fan surgery
-that turns a gadget embedding into a subgroup lattice embedding.
+that turns a gadget embedding into a subgroup lattice embedding (the
+fan lift of the Z_{p^2} x Z_{p^2} lattice).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .graphs import Graph, GraphError, gn_graph, hn_graph, is_isomorphic, zppq_graph
-from .groups import _is_prime
+from .groups import _is_prime, lattice_for
 
 
 class CertificateError(ValueError):
@@ -44,10 +45,6 @@ class RotationSystem:
     """Cyclic neighbor order around each vertex."""
 
     order: dict[str, tuple[str, ...]]
-
-    @staticmethod
-    def from_mapping(mapping: Mapping[str, Sequence[str]]) -> "RotationSystem":
-        return RotationSystem({v: tuple(nbrs) for v, nbrs in mapping.items()})
 
     def validate(self, g: Graph) -> None:
         if set(self.order) != set(g.vertices):
@@ -139,6 +136,11 @@ def _verify(
     g: Graph, cert: EmbeddingCertificate
 ) -> tuple[VerifiedGenus, dict[str, tuple[str, ...]]]:
     """verify_certificate's checks, plus the turn cycle at each vertex."""
+    # the empty graph counts as connected, and V-E+F = 0 would read as a torus
+    if not g.vertices:
+        raise CertificateError(
+            "empty-graph", "can only certify embeddings of graphs with a vertex"
+        )
     if not g.is_connected():
         raise CertificateError(
             "disconnected-graph", "can only certify embeddings of connected graphs"
@@ -540,3 +542,21 @@ def lift_certificate_to_lattice(
     lifted = EmbeddingCertificate(lattice, faces)
     verify_certificate(lattice, lifted)
     return lifted
+
+
+def fan_lift_certificate(p: int) -> EmbeddingCertificate:
+    """Embedding certificate for the lattice of the square of a cyclic
+    group of order p**2, built by fanning every rim edge of the gadget
+    embedding and relabeling onto the real lattice."""
+    if not _is_prime(p) or (p + 1) % 4 != 2:
+        raise CertificateError(
+            "bad-parameter", f"fan lift needs a prime p with p+1 = 2 mod 4, got {p}"
+        )
+    n = p + 1
+    cert = gn_certificate(n)
+    g = cert.graph
+    for i in range(1, n + 1):
+        labels = [f"fan{i}_{j}" for j in range(1, p + 1)]
+        g, cert = fan_expansion(g, cert, (f"alpha_{i}", f"beta_{i}"), p, labels)
+    lattice = lattice_for(f"Z{p * p}xZ{p * p}", order_cap=None)
+    return lift_certificate_to_lattice(cert, lattice)

@@ -1,0 +1,233 @@
+"""Genus evidence for subgroup lattices, and the classification check.
+
+``group_bounds`` composes what is known about one group's lattice: the
+classification table, the closed-form families, a planarity test and
+the Euler bound.  ``crosscheck_rows`` sets the classification's
+prediction for each roster group against evidence found independently
+of it: a planarity test, a verified genus-1 certificate (searched for or
+constructed), a minor whose genus forces genus >= 2, or the Euler bound.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from typing import Iterator
+
+from .embeddings import fan_lift_certificate, verify_certificate
+from .formulas import (
+    AbelianClass,
+    GenusEstimate,
+    classify_abelian,
+    estimate_grid_genus,
+    euler_lower_bound_int,
+    family_genus,
+    genus_complete_bipartite,
+)
+from .graphs import (
+    Graph,
+    complete_bipartite,
+    double_k33_pattern,
+    find_minor,
+    girth,
+    is_planar,
+)
+from .groups import DEFAULT_ORDER_CAP, GroupSpec, lattice_for, parse_group_spec
+from .search import SearchConfig, search_embedding
+
+SEARCH_BUDGET_DEFAULT = 10**6
+MINOR_BUDGET_DEFAULT = 10**7
+
+
+def _k5() -> Graph:
+    verts = [f"v{i}" for i in range(1, 6)]
+    return Graph(verts, [(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :]])
+
+
+# the named minor patterns, by the name the minor command takes
+MINOR_PATTERNS = {
+    "bowtie": double_k33_pattern,
+    "k33": lambda: complete_bipartite(3, 3),
+    "k5": _k5,
+    "k64": lambda: complete_bipartite(6, 4),
+}
+
+# the genus a pattern forces on any host that has it as a minor, and why
+_MINOR_GENUS = {
+    # two K33 blocks sharing a cut vertex: genus adds over blocks
+    "bowtie": (
+        2 * genus_complete_bipartite(3, 3),
+        ("minor:double-k33", "block-additivity"),
+    ),
+    "k64": (
+        genus_complete_bipartite(6, 4),
+        ("minor:k6-4", "formula:complete-bipartite"),
+    ),
+}
+
+# prime-power pattern -> family_genus family, primes in the key's order
+_FAMILIES = {
+    ((2, 2),): "Zp2xZp2",
+    ((3, 2),): "Zp3xZp2",
+    ((1, 1, 1),): "ZpxZpxZp",
+    ((1, 1), (1,)): "ZpxZpxZq",
+    ((1, 1), (2,)): "ZpxZpxZq2",
+}
+
+
+def _planarity(lattice: Graph) -> GenusEstimate:
+    if is_planar(lattice):
+        return GenusEstimate.exactly(0, ["planarity"])
+    return GenusEstimate.at_least(1, ["nonplanar"])
+
+
+def _euler_bound(lattice: Graph) -> GenusEstimate | None:
+    # the quadrilateral Euler bound needs girth >= 4
+    if girth(lattice) < 4:
+        return None
+    lower = euler_lower_bound_int(lattice.vertex_count, lattice.edge_count)
+    return GenusEstimate.at_least(lower, ["bound:euler"])
+
+
+def group_bounds(
+    spec: GroupSpec, order_cap: int | None = DEFAULT_ORDER_CAP
+) -> GenusEstimate:
+    """Genus bounds for a group's lattice: the classification table, the
+    closed form of a matching lattice family, a planarity test, and for
+    a nonplanar lattice the Euler bound."""
+    if spec.is_cyclic:
+        # a cyclic group's lattice is exactly the divisor grid
+        return estimate_grid_genus(spec.exponents)
+    cls = classify_abelian(spec)
+    est = GenusEstimate(
+        cls.lower, cls.upper, cls.upper == cls.lower, (f"table:abelian:{cls.label}",)
+    )
+    pattern = spec.prime_pattern()
+    for primes in itertools.permutations(sorted(pattern)):
+        family = _FAMILIES.get(tuple(pattern[p] for p in primes))
+        if family is not None:
+            est = est.merge(family_genus(family, *primes))
+            break
+    lattice = lattice_for(spec, order_cap=order_cap)
+    planarity = _planarity(lattice)
+    est = est.merge(planarity)
+    euler = None if planarity.exact else _euler_bound(lattice)
+    if euler is not None:
+        est = est.merge(euler)
+    return est
+
+
+# classification prediction vs independent evidence, one row per group;
+# evidence tags: planar = planarity test, torus-search = heuristic
+# genus-1 certificate, fan-lift = constructed certificate, minor-* =
+# witness forcing genus >= 2, euler = edge-count lower bound
+_ROSTER: tuple[tuple[str, str], ...] = (
+    ("Z8", "planar"),
+    ("Z30", "planar"),
+    ("Z60", "planar"),
+    ("Z72", "planar"),
+    ("Z4xZ2", "planar"),
+    ("Z32xZ2", "planar"),
+    ("Z9xZ3", "planar"),
+    ("Z25xZ5", "planar"),
+    ("Z4xZ4", "torus-search"),
+    ("Z8xZ4", "torus-search"),
+    ("Z9xZ9", "torus-search"),
+    ("Z25xZ25", "fan-lift"),
+    ("Z2xZ2xZ3", "torus-search"),
+    ("Z2xZ2xZ5", "torus-search"),
+    ("Z3xZ3xZ2", "torus-search"),
+    ("Z3xZ3xZ5", "torus-search"),
+    ("Z4xZ2xZ3", "torus-search"),
+    ("Z4xZ2xZ5", "torus-search"),
+    ("Z180", "torus-search"),
+    ("Z210", "torus-search"),
+    ("Z360", "torus-search"),
+    ("Z1080", "torus-search"),
+    ("Z16xZ4", "minor-bowtie"),
+    ("Z8xZ8", "minor-bowtie"),
+    ("Z27xZ27", "minor-bowtie"),
+    ("Z8xZ2xZ3", "minor-bowtie"),
+    ("Z9xZ3xZ2", "minor-bowtie"),
+    ("Z2xZ2xZ9", "minor-bowtie"),
+    ("Z3xZ3xZ4", "minor-k64"),
+    ("Z4xZ4xZ3", "euler"),
+    ("Z2xZ2xZ3xZ3", "euler"),
+    ("Z3xZ3xZ2xZ5", "euler"),
+    ("Z1260", "euler"),
+)
+
+
+def _row_evidence(
+    spec: GroupSpec, tag: str, seed: int, budget: int | None
+) -> GenusEstimate | None:
+    """Independent genus evidence for one roster row, or None when the
+    budget ran out before the needed bound was established."""
+    lattice = lattice_for(spec, order_cap=None)
+    if tag in ("planar", "torus-search", "fan-lift"):
+        planarity = _planarity(lattice)
+        if tag == "planar" or planarity.exact:
+            return planarity
+    if tag == "torus-search":
+        cfg = SearchConfig(
+            target_genus=1,
+            seed=seed,
+            budget=budget if budget is not None else SEARCH_BUDGET_DEFAULT,
+        )
+        if search_embedding(lattice, cfg).status == "found":
+            return GenusEstimate.exactly(1, ["nonplanar", "certificate:search"])
+        return None
+    if tag == "fan-lift":
+        cert = fan_lift_certificate(sorted(spec.prime_pattern())[0])
+        genus = verify_certificate(cert.graph, cert).genus
+        return GenusEstimate.exactly(genus, ["nonplanar", "certificate:fan-lift"])
+    if tag.startswith("minor-"):
+        name = tag.removeprefix("minor-")
+        lower, provenance = _MINOR_GENUS[name]
+        result = find_minor(
+            lattice,
+            MINOR_PATTERNS[name](),
+            budget if budget is not None else MINOR_BUDGET_DEFAULT,
+        )
+        if result.witness is not None:
+            return GenusEstimate.at_least(lower, provenance)
+        return None
+    return _euler_bound(lattice)
+
+
+def _row_agrees(predicted: AbelianClass, est: GenusEstimate) -> bool:
+    if predicted.label == "Genus0":
+        return est.exact and est.lower == 0
+    if predicted.label == "Genus1":
+        return est.exact and est.lower == 1
+    return est.lower >= 2
+
+
+@dataclass(frozen=True)
+class CrosscheckRow:
+    """One roster group: its predicted class, the kind of evidence
+    sought, the evidence (None if the budget ran out) and the verdict,
+    one of ``agree``, ``DISAGREE`` or ``inconclusive``."""
+
+    spec: GroupSpec
+    predicted: AbelianClass
+    tag: str
+    estimate: GenusEstimate | None
+    status: str
+
+
+def crosscheck_rows(seed: int, budget: int | None) -> Iterator[CrosscheckRow]:
+    """Check the classification against independent evidence, one
+    roster row at a time.  ``budget`` caps each search (rotation
+    evaluations) and each minor hunt (nodes); None keeps the defaults."""
+    for text, tag in _ROSTER:
+        spec = parse_group_spec(text, order_cap=None)
+        predicted = classify_abelian(spec)
+        est = _row_evidence(spec, tag, seed, budget)
+        if est is None:
+            status = "inconclusive"
+        elif _row_agrees(predicted, est):
+            status = "agree"
+        else:
+            status = "DISAGREE"
+        yield CrosscheckRow(spec, predicted, tag, est, status)

@@ -54,21 +54,18 @@ class GenusEstimate:
     def at_least(lower: int, provenance: Iterable[str]) -> "GenusEstimate":
         return GenusEstimate(lower, None, False, tuple(provenance))
 
-    @staticmethod
-    def between(lower: int, upper: int, provenance: Iterable[str]) -> "GenusEstimate":
-        return GenusEstimate(lower, upper, lower == upper, tuple(provenance))
-
     def merge(self, other: "GenusEstimate") -> "GenusEstimate":
         """Intersect two estimates for the same graph.
 
-        Raises if the intervals are disjoint, since that means two
-        results contradict each other.
+        Raises InvariantError if the intervals are disjoint: two results
+        for the same graph contradict each other, which is a bug, not bad
+        input.
         """
         lower = max(self.lower, other.lower)
         uppers = [u for u in (self.upper, other.upper) if u is not None]
         upper = min(uppers) if uppers else None
         if upper is not None and upper < lower:
-            raise FormulaError(
+            raise InvariantError(
                 f"contradictory estimates: [{self.lower},{self.upper}] from "
                 f"{list(self.provenance)} vs [{other.lower},{other.upper}] "
                 f"from {list(other.provenance)}"

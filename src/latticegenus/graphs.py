@@ -4,8 +4,8 @@ Vertices are strings and graphs are immutable: every transformation returns a
 new Graph. This module covers construction (paths, Cartesian products, grid
 graphs, the G_n and H_n gadget families, complete bipartite patterns),
 structural queries (girth, connectivity, blocks, planarity, isomorphism), and
-graph minors: scripted delete/contract operations, witness validation, and a
-backtracking branch-set search with degree-based kernelization.
+graph minors: witness validation and a backtracking branch-set search with
+degree-based kernelization.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ __all__ = [
     "is_isomorphic",
     "BlockDecomposition",
     "block_decomposition",
-    "MinorOp",
-    "MinorScript",
-    "apply_minor_script",
     "MinorWitness",
     "validate_minor_witness",
     "MinorSearchResult",
@@ -129,32 +126,6 @@ class Graph:
         return f"Graph({self.vertex_count} vertices, {self.edge_count} edges)"
 
     # ---- transformations (each returns a new Graph) ----
-
-    def delete_vertex(self, v: str) -> "Graph":
-        if v not in self._adj:
-            raise GraphError(f"unknown vertex {v!r}")
-        keep = [w for w in self.vertices if w != v]
-        return Graph(keep, [e for e in self.edges if v not in e])
-
-    def delete_edge(self, u: str, v: str) -> "Graph":
-        key = (u, v) if u <= v else (v, u)
-        if key not in set(self.edges):
-            raise GraphError(f"unknown edge ({u!r}, {v!r})")
-        return Graph(self.vertices, [e for e in self.edges if e != key])
-
-    def contract_edge(self, u: str, v: str) -> "Graph":
-        """Merge v into u's side; the kept label is min(u, v)."""
-        key = (u, v) if u <= v else (v, u)
-        if key not in set(self.edges):
-            raise GraphError(f"unknown edge ({u!r}, {v!r})")
-        keep, gone = key
-        edges = []
-        for a, b in self.edges:
-            a2 = keep if a == gone else a
-            b2 = keep if b == gone else b
-            if a2 != b2:
-                edges.append((a2, b2))
-        return Graph([w for w in self.vertices if w != gone], edges)
 
     def induced(self, vertices) -> "Graph":
         vs = set(vertices)
@@ -492,53 +463,6 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     if counted != g.edge_count:
         raise GraphError("block decomposition lost or duplicated edges")
     return BlockDecomposition(tuple(blocks), frozenset(nx.articulation_points(h)))
-
-
-# ============================================================
-# Minor scripts
-# ============================================================
-
-_MINOR_OPS = ("delete-vertex", "delete-edge", "contract-edge")
-
-
-@dataclass(frozen=True)
-class MinorOp:
-    op: str
-    args: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.op not in _MINOR_OPS:
-            raise GraphError(f"unknown minor op {self.op!r}")
-        want = 1 if self.op == "delete-vertex" else 2
-        if len(self.args) != want:
-            raise GraphError(f"{self.op} takes {want} argument(s)")
-
-
-@dataclass(frozen=True)
-class MinorScript:
-    ops: tuple[MinorOp, ...]
-
-    def to_json_list(self) -> list:
-        return [{"op": o.op, "args": list(o.args)} for o in self.ops]
-
-    @classmethod
-    def from_json_list(cls, data) -> "MinorScript":
-        try:
-            return cls(tuple(MinorOp(d["op"], tuple(map(str, d["args"]))) for d in data))
-        except (KeyError, TypeError) as exc:
-            raise GraphError(f"malformed minor script: {exc}") from exc
-
-
-def apply_minor_script(g: Graph, script: MinorScript) -> Graph:
-    out = g
-    for step in script.ops:
-        if step.op == "delete-vertex":
-            out = out.delete_vertex(step.args[0])
-        elif step.op == "delete-edge":
-            out = out.delete_edge(*step.args)
-        else:
-            out = out.contract_edge(*step.args)
-    return out
 
 
 # ============================================================

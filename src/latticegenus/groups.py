@@ -134,7 +134,8 @@ def parse_group_spec(text: str, order_cap: int | None = DEFAULT_ORDER_CAP) -> Gr
     for token in text.strip().split("x"):
         token = token.strip()
         body = token[1:]
-        if not token.startswith("Z") or not body.isdigit():
+        # isdecimal, not isdigit: superscripts are digits that int() rejects
+        if not token.startswith("Z") or not body.isdecimal():
             raise GroupError(f"malformed factor {token!r}: expected Z<m> with m >= 2")
         m = int(body)
         if m < 2:
@@ -268,11 +269,6 @@ def enumerate_subgroups(
         for combo in itertools.product(*parts)
     )
     return SubgroupSet(g, subgroups)
-
-
-def subgroup_census(s: SubgroupSet) -> dict[int, int]:
-    """Count subgroups by order."""
-    return s.census()
 
 
 def build_lattice(s: SubgroupSet) -> Graph:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -232,6 +233,8 @@ def test_criterion_8_crosscheck_gate(capsys):
     out = capsys.readouterr().out
     assert rc == 0, out
     assert "0 disagreements, 0 inconclusive" in out
+    golden = Path(__file__).parent / "golden" / "crosscheck.txt"
+    assert out == golden.read_text(encoding="utf-8")
     _pass(8, "crosscheck roster exits 0 with no disagreements", t0, 300.0)
 
 

@@ -10,7 +10,7 @@ import textwrap
 import pytest
 
 import latticegenus
-from latticegenus import VerifiedGenus
+from latticegenus import GenusEstimate, VerifiedGenus
 from latticegenus.cli import main
 
 
@@ -277,6 +277,45 @@ def test_empty_grid_token_is_one_input_error(capsys):
         assert (code, out, err) == (2, "", "error: empty exponent list ','\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "Z\u00b2"),
+        ("group", "Z\u00b9\u00b2"),
+        ("bounds", "\u00b2"),
+        ("search", "\u00b9,\u00b9", "--genus", "0"),
+    ],
+)
+def test_superscript_digits_are_input_errors(capsys, argv):
+    # str.isdigit accepts superscripts, which int() rejects
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_empty_graph_is_a_violation(capsys, monkeypatch):
+    empty = '{"graph":{"vertices":[],"edges":[]},"faces":[]}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(empty))
+    code, out, err = run(capsys, "verify", "-")
+    assert code == 1
+    assert out.startswith("violation empty-graph: ")
+    assert err == ""
+
+
+def test_contradictory_bounds_are_a_disagreement(capsys, monkeypatch):
+    # the table says genus 1 for Z25xZ25; a family formula claiming 5
+    # contradicts it, which is a library fault (exit 1), not bad input
+    monkeypatch.setattr(
+        "latticegenus.evidence.family_genus",
+        lambda family, *primes: GenusEstimate.exactly(5, ["formula:wrong"]),
+    )
+    code, out, err = run(capsys, "bounds", "Z25xZ25")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: contradictory estimates") and err.count("\n") == 1
+
+
 def test_search_certificate_above_target_is_a_disagreement(capsys, monkeypatch):
     monkeypatch.setattr(
         "latticegenus.search.verify_certificate",
@@ -296,7 +335,7 @@ def test_internal_checks_survive_optimized_python():
         import sys
         assert False, "stripped under -O, so this never fires"
         import latticegenus.search
-        from latticegenus import VerifiedGenus
+        from latticegenus import GenusEstimate, VerifiedGenus
         from latticegenus.cli import main
         latticegenus.search.verify_certificate = (
             lambda g, cert: VerifiedGenus(len(cert.faces), 99)

@@ -219,6 +219,14 @@ def test_rejects_one_vertex_certificate_without_crashing():
         rotation_from_certificate(cert)
 
 
+def test_rejects_the_empty_graph():
+    # the empty graph is connected, and V-E+F = 0 would read as genus 1
+    g = Graph([], [])
+    with pytest.raises(CertificateError) as err:
+        verify_certificate(g, EmbeddingCertificate(g, ()))
+    assert err.value.code == "empty-graph"
+
+
 def test_family_and_fan_checks_raise_on_a_wrong_genus(monkeypatch):
     # a verifier that disagrees with the published counts must stop the
     # generators with an explicit error, not an assert

@@ -15,6 +15,7 @@ from latticegenus import (
     FormulaError,
     GenusEstimate,
     Graph,
+    InvariantError,
     block_additive_genus,
     block_decomposition,
     classify_abelian,
@@ -64,7 +65,9 @@ def test_estimate_merge_tightens():
 
 
 def test_estimate_merge_rejects_contradiction():
-    with pytest.raises(FormulaError):
+    # two results for one graph that contradict each other are a bug in
+    # the library, not bad input
+    with pytest.raises(InvariantError):
         GenusEstimate.exactly(1, ["a"]).merge(GenusEstimate.at_least(2, ["b"]))
 
 

@@ -7,10 +7,7 @@ import pytest
 from latticegenus import (
     Graph,
     GraphError,
-    MinorOp,
-    MinorScript,
     MinorWitness,
-    apply_minor_script,
     block_decomposition,
     cartesian_product,
     complete_bipartite,
@@ -173,27 +170,6 @@ def test_planarity_and_isomorphism():
 
 
 # ---------------------------------------------------------- minor tools
-
-
-def test_minor_script_contract_and_delete():
-    g = cycle_graph(4, prefix="C")
-    script = MinorScript((MinorOp("delete-edge", ("C0", "C1")),))
-    h = apply_minor_script(g, script)
-    assert h.edge_count == 3
-    assert h.is_connected()
-
-
-def test_minor_script_contract_merges_vertices():
-    g = path_graph(2, prefix="P")
-    script = MinorScript((MinorOp("contract-edge", ("P0", "P1")),))
-    h = apply_minor_script(g, script)
-    assert h.vertex_count == 2
-    assert h.edge_count == 1
-
-
-def test_minor_script_rejects_missing_edge():
-    with pytest.raises(GraphError):
-        apply_minor_script(path_graph(2, prefix="P"), MinorScript((MinorOp("delete-edge", ("P0", "P2")),)))
 
 
 def test_witness_validation_accepts_hand_witness():

@@ -19,7 +19,6 @@ from latticegenus import (
     is_isomorphic,
     lattice_for,
     parse_group_spec,
-    subgroup_census,
 )
 
 
@@ -160,7 +159,6 @@ _CENSUS = {
 def test_frozen_censuses(text, expected):
     subs = enumerate_subgroups(parse_group_spec(text))
     assert subs.census() == expected
-    assert subgroup_census(subs) == expected
 
 
 def test_labels_stable_and_ordered():
