@@ -362,23 +362,28 @@ def cmd_crosscheck(args) -> int:
 # ----------------------------------------------------------------- main
 
 
+def _option(*flags, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one shared option."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    shared.add_argument(
+    # each subcommand takes only the shared options its handler reads
+    seed = _option("--seed", type=int, default=0, help="RNG seed (default 0)")
+    budget = _option(
         "--budget",
         type=int,
         default=None,
         help="work cap: rotation evaluations for search, nodes for minor"
         " (defaults 10^6 and 10^7)",
     )
-    shared.add_argument(
+    as_json = _option(
         "--json", action="store_true", help="print one machine-readable JSON document"
     )
-    shared.add_argument(
-        "--dot", action="store_true", help="print Graphviz DOT (group and grid)"
-    )
-    shared.add_argument(
+    dot = _option("--dot", action="store_true", help="print Graphviz DOT")
+    order_cap = _option(
         "--order-cap",
         type=int,
         default=DEFAULT_ORDER_CAP,
@@ -392,42 +397,42 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser(
-        "group", parents=[shared], help="enumerate subgroups and build the lattice"
+        "group",
+        parents=[as_json, dot, order_cap],
+        help="enumerate subgroups and build the lattice",
     )
     p.add_argument("group", help="group expression, e.g. Z4xZ4 or Z72")
     p.set_defaults(func=cmd_group)
 
-    p = sub.add_parser("grid", parents=[shared], help="build a divisor grid graph")
+    p = sub.add_parser("grid", parents=[as_json, dot], help="build a divisor grid graph")
     p.add_argument("exponents", type=int, nargs="+", help="prime-power exponents")
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser(
-        "bounds", parents=[shared], help="compose genus bounds for a target"
+        "bounds", parents=[as_json, order_cap], help="compose genus bounds for a target"
     )
     p.add_argument("target", help="group expression or comma list of grid exponents")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser(
-        "classify", parents=[shared], help="classify a group's lattice genus"
+        "classify", parents=[as_json], help="classify a group's lattice genus"
     )
     p.add_argument("group", help="group expression; works above the order cap")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser(
-        "verify", parents=[shared], help="verify an embedding certificate"
-    )
+    p = sub.add_parser("verify", parents=[as_json], help="verify an embedding certificate")
     p.add_argument("certificate", help="certificate JSON path, or - for stdin")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser(
-        "make-cert", parents=[shared], help="emit a family embedding certificate"
-    )
+    p = sub.add_parser("make-cert", help="emit a family embedding certificate")
     p.add_argument("family", choices=("gn", "hn", "zppq", "fan-lift"))
     p.add_argument("parameter", type=int, help="n for gn/hn, prime p otherwise")
     p.set_defaults(func=cmd_make_cert)
 
     p = sub.add_parser(
-        "search", parents=[shared], help="search for a bounded-genus embedding"
+        "search",
+        parents=[as_json, seed, budget, order_cap],
+        help="search for a bounded-genus embedding",
     )
     p.add_argument("target", help="group expression or comma list of grid exponents")
     p.add_argument("--genus", type=int, required=True, help="target genus")
@@ -437,14 +442,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=16, help="heuristic restarts")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("minor", parents=[shared], help="search for a named minor")
+    p = sub.add_parser(
+        "minor", parents=[as_json, budget, order_cap], help="search for a named minor"
+    )
     p.add_argument("host", help="group expression or comma list of grid exponents")
     p.add_argument("pattern", choices=tuple(MINOR_PATTERNS))
     p.set_defaults(func=cmd_minor)
 
     p = sub.add_parser(
         "crosscheck",
-        parents=[shared],
+        parents=[as_json, seed, budget],
         help="classification vs independent evidence over the built-in roster",
     )
     p.set_defaults(func=cmd_crosscheck)

@@ -33,7 +33,7 @@ from .graphs import (
     is_planar,
 )
 from .groups import DEFAULT_ORDER_CAP, GroupSpec, lattice_for, parse_group_spec
-from .search import SearchConfig, search_embedding
+from .search import SearchConfig, SearchError, search_embedding
 
 SEARCH_BUDGET_DEFAULT = 10**6
 MINOR_BUDGET_DEFAULT = 10**7
@@ -219,7 +219,10 @@ class CrosscheckRow:
 def crosscheck_rows(seed: int, budget: int | None) -> Iterator[CrosscheckRow]:
     """Check the classification against independent evidence, one
     roster row at a time.  ``budget`` caps each search (rotation
-    evaluations) and each minor hunt (nodes); None keeps the defaults."""
+    evaluations) and each minor hunt (nodes); None keeps the defaults.
+    A budget that is not positive is refused before the first row."""
+    if budget is not None and budget <= 0:
+        raise SearchError("budget must be positive")
     for text, tag in _ROSTER:
         spec = parse_group_spec(text, order_cap=None)
         predicted = classify_abelian(spec)

@@ -282,18 +282,24 @@ _GENUS4_TRIPLES = {
 }
 
 
+def _is_planar_grid(exps: tuple[int, ...]) -> bool:
+    """The grid is planar: at most two factors, or three with at most
+    one exponent above 1."""
+    k = len(exps)
+    return k <= 2 or (k == 3 and sum(1 for e in exps if e > 1) <= 1)
+
+
 def classify_cyclic(exponents: Iterable[int]) -> CyclicClass:
     """Classify the lattice genus of a cyclic group whose order has the
     given prime-power exponents (one entry per distinct prime)."""
     exps = tuple(sorted((int(e) for e in exponents), reverse=True))
     if not exps or exps[-1] < 1:
         raise FormulaError(f"exponents must be a nonempty positive multiset: {exps}")
-    k = len(exps)
 
     def exact(g: int) -> CyclicClass:
         return CyclicClass(f"Genus{g}", g, g)
 
-    if k <= 2 or (k == 3 and sum(1 for e in exps if e > 1) <= 1):
+    if _is_planar_grid(exps):
         return exact(0)
     if exps in _GENUS1_TRIPLES or exps == (1, 1, 1, 1):
         return exact(1)
@@ -393,7 +399,7 @@ def estimate_grid_genus(exponents: Iterable[int]) -> GenusEstimate:
     k = len(exps)
     estimates: list[GenusEstimate] = []
 
-    if k <= 2 or (k == 3 and sum(1 for e in exps if e > 1) <= 1):
+    if _is_planar_grid(exps):
         estimates.append(GenusEstimate.exactly(0, ["planar-grid"]))
     if k >= 2:
         estimates.append(

@@ -5,7 +5,9 @@ new Graph. This module covers construction (paths, Cartesian products, grid
 graphs, the G_n and H_n gadget families, complete bipartite patterns),
 structural queries (girth, connectivity, blocks, planarity, isomorphism), and
 graph minors: witness validation and a backtracking branch-set search with
-degree-based kernelization.
+degree-based kernelization. The minor search works on integer vertex ids
+(positions in ``host.vertices``) from kernelization to the lifted witness
+and maps back to labels only at the end.
 """
 
 from __future__ import annotations
@@ -83,9 +85,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def has_vertex(self, v: str) -> bool:
-        return v in self._adj
 
     def has_edge(self, u: str, v: str) -> bool:
         return u in self._adj and v in self._adj[u]
@@ -521,21 +520,15 @@ class _Budget(Exception):
     pass
 
 
-def _kernelize(host: Graph):
-    """Drop degree<=1 vertices and suppress degree-2 vertices.
+def _kernelize(adj: dict[int, set[int]]) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Drop degree<=1 vertices and suppress degree-2 vertices, in place.
 
-    Sound and complete for patterns of minimum degree >= 3. Returns the
-    kernel plus, for each kernel edge, the ordered interior host path it
-    stands for, so witnesses can be lifted back.
+    ``adj`` maps vertex ids to neighbor-id sets. Sound and complete for
+    patterns of minimum degree >= 3. Returns, for each kernel edge in
+    both directions, the interior host path it stands for: ``paths[(u,
+    w)]`` runs from u to w, so witnesses can be lifted back.
     """
-    adj = {v: set(host.neighbors(v)) for v in host.vertices}
-    paths: dict[tuple[str, str], tuple[str, ...]] = {}
-
-    def path_of(u, v):
-        key = (u, v) if u <= v else (v, u)
-        inner = paths.get(key, ())
-        return inner if (u, v) == key or not inner else tuple(reversed(inner))
-
+    paths: dict[tuple[int, int], tuple[int, ...]] = {}
     changed = True
     while changed:
         changed = False
@@ -544,60 +537,26 @@ def _kernelize(host: Graph):
             if deg <= 1:
                 for w in adj[v]:
                     adj[w].discard(v)
-                    paths.pop((v, w) if v <= w else (w, v), None)
+                    paths.pop((v, w), None)
+                    paths.pop((w, v), None)
                 del adj[v]
                 changed = True
             elif deg == 2:
                 u, w = sorted(adj[v])
-                key_uv = (u, v) if u <= v else (v, u)
-                key_vw = (v, w) if v <= w else (w, v)
-                if w in adj[u]:
-                    # suppressing would create a parallel edge; drop v instead
-                    adj[u].discard(v)
-                    adj[w].discard(v)
-                    del adj[v]
-                    paths.pop(key_uv, None)
-                    paths.pop(key_vw, None)
-                else:
-                    inner = path_of(u, v) + (v,) + path_of(v, w)
-                    adj[u].discard(v)
-                    adj[w].discard(v)
+                inner = paths.pop((u, v), ()) + (v,) + paths.pop((v, w), ())
+                paths.pop((v, u), None)
+                paths.pop((w, v), None)
+                adj[u].discard(v)
+                adj[w].discard(v)
+                del adj[v]
+                # suppressing would create a parallel edge; drop v instead
+                if w not in adj[u]:
                     adj[u].add(w)
                     adj[w].add(u)
-                    del adj[v]
-                    paths.pop(key_uv, None)
-                    paths.pop(key_vw, None)
-                    paths[(u, w) if u <= w else (w, u)] = inner if u <= w else tuple(reversed(inner))
+                    paths[(u, w)] = inner
+                    paths[(w, u)] = inner[::-1]
                 changed = True
-    kernel = Graph(adj.keys(), [(u, w) for u in adj for w in adj[u] if u < w])
-    return kernel, paths
-
-
-def _lift_witness(host: Graph, pattern: Graph, kernel: Graph, paths, assignment) -> MinorWitness:
-    """Expand kernel branch sets back to host vertices.
-
-    Kernel edges inside a branch set pull in their interior path; a kernel
-    edge crossing between two branch sets donates its interior to the side
-    listed first, keeping the final host edge as the cross connection.
-    """
-    def interior(u, w):
-        key = (u, w) if u <= w else (w, u)
-        inner = paths.get(key, ())
-        return inner if u <= w else tuple(reversed(inner))
-
-    lifted = {pv: set(bs) for pv, bs in assignment.items()}
-    owner = {}
-    for pv, bs in assignment.items():
-        for x in bs:
-            owner[x] = pv
-    for u, w in kernel.edges:
-        pu, pw = owner.get(u), owner.get(w)
-        if pu is None or pw is None:
-            continue
-        # interior runs u -> w, so attaching it to u's side leaves the
-        # final host edge (last interior vertex, w) as the cross connection
-        lifted[pu].update(interior(u, w))
-    return MinorWitness({pv: frozenset(bs) for pv, bs in lifted.items()})
+    return paths
 
 
 def _pattern_order(pattern: Graph) -> list:
@@ -645,21 +604,19 @@ def find_minor(host: Graph, pattern: Graph, budget: int = 10**7) -> MinorSearchR
     if pattern.vertex_count > host.vertex_count:
         return MinorSearchResult(None, True, 0)
 
-    if pattern.min_degree() >= 3 and pattern.edge_count:
-        kernel, paths = _kernelize(host)
-    else:
-        kernel, paths = host, {}
-    if pattern.vertex_count > kernel.vertex_count or pattern.edge_count > kernel.edge_count:
+    # host vertices are ids by position in host.vertices (sorted labels)
+    # from kernelization to the lifted witness
+    id_of = {v: i for i, v in enumerate(host.vertices)}
+    adj = {i: {id_of[w] for w in host.neighbors(v)} for i, v in enumerate(host.vertices)}
+    paths = _kernelize(adj) if pattern.min_degree() >= 3 and pattern.edge_count else {}
+    nk = len(adj)
+    if pattern.vertex_count > nk or 2 * pattern.edge_count > sum(map(len, adj.values())):
         return MinorSearchResult(None, True, 0)
 
-    verts = sorted(kernel.vertices)
-    bit_of = {v: i for i, v in enumerate(verts)}
-    nk = len(verts)
-    nbr = [0] * nk
-    for u, w in kernel.edges:
-        nbr[bit_of[u]] |= 1 << bit_of[w]
-        nbr[bit_of[w]] |= 1 << bit_of[u]
-    deg = [m.bit_count() for m in nbr]
+    verts = sorted(adj)
+    bit_of = {v: b for b, v in enumerate(verts)}
+    nbr = [sum(1 << bit_of[w] for w in adj[v]) for v in verts]
+    deg = [len(adj[v]) for v in verts]
 
     order = _pattern_order(pattern)
     pos = {v: i for i, v in enumerate(order)}
@@ -724,17 +681,7 @@ def find_minor(host: Graph, pattern: Graph, budget: int = 10**7) -> MinorSearchR
         region = free & ~(min_above - 1) if min_above else free
         restadj = [setadj[r] & region for r in req[1:]]
         nrest = len(restmasks)
-        if req:
-            first = sets[req[0]]
-            amask = 0
-            m = first
-            while m:
-                b = m & -m
-                amask |= nbr[b.bit_length() - 1]
-                m ^= b
-            amask &= region
-        else:
-            amask = region
+        amask = setadj[req[0]] & region if req else region
 
         def grow(cur: int, curadj: int, frontier: int, banned: int,
                  size: int, degsum: int) -> bool:
@@ -819,11 +766,19 @@ def find_minor(host: Graph, pattern: Graph, budget: int = 10**7) -> MinorSearchR
 
     if not found:
         return MinorSearchResult(None, exhausted, nodes)
+    # lift: a kernel edge between two branch sets adds its interior path
+    # to the lower end's set, leaving the path's last host edge as the
+    # cross connection (inside one set, the whole path joins that set)
     masks = witness_box[0]
-    assignment = {
-        order[i]: frozenset(verts[b] for b in range(nk) if masks[i] >> b & 1)
-        for i in range(npat)
-    }
-    witness = _lift_witness(host, pattern, kernel, paths, assignment)
+    owner = {verts[b]: i for i in range(npat) for b in range(nk) if masks[i] >> b & 1}
+    lifted = [set() for _ in range(npat)]
+    for v, i in owner.items():
+        lifted[i].add(v)
+        for w in adj[v]:
+            if v < w and w in owner:
+                lifted[i].update(paths.get((v, w), ()))
+    witness = MinorWitness(
+        {order[i]: frozenset(host.vertices[v] for v in bs) for i, bs in enumerate(lifted)}
+    )
     validate_minor_witness(host, pattern, witness)
     return MinorSearchResult(witness, False, nodes)

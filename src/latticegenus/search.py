@@ -107,8 +107,9 @@ def search_embedding(
 ) -> SearchOutcome:
     """Search for an embedding of genus at most cfg.target_genus.
 
-    Heuristic mode runs cfg.restarts annealing restarts, deterministic
-    given cfg.seed; ``progress`` (if given) receives (restart,
+    Heuristic mode runs cfg.restarts annealing restarts (at most
+    cfg.budget of them, so that it never spends more than its budget),
+    deterministic given cfg.seed; ``progress`` (if given) receives (restart,
     best_face_count) after each restart.  Exhaustive mode proves
     nonexistence when it completes without finding a certificate.
     """
@@ -135,11 +136,14 @@ def _search_heuristic(
 ) -> SearchOutcome:
     darts = _Darts(g)
     f_target = _face_target(g, cfg.target_genus)
-    slice_budget = max(1, cfg.budget // cfg.restarts)
+    # every restart costs at least one evaluation, so more restarts than
+    # budget would overspend it
+    restarts = min(cfg.restarts, cfg.budget)
+    slice_budget = cfg.budget // restarts
     movable = [v for v, nb in enumerate(darts.nbrs) if len(nb) >= 3]
     evaluations = 0
 
-    for restart in range(cfg.restarts):
+    for restart in range(restarts):
         rng = random.Random(cfg.seed * 1_000_003 + restart)
         rotation = [list(nb) for nb in darts.nbrs]
         for rot in rotation:

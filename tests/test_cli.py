@@ -1,5 +1,6 @@
 """Command-line surface: output shapes, exit codes, determinism."""
 
+import argparse
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import latticegenus
 from latticegenus import GenusEstimate, VerifiedGenus
-from latticegenus.cli import main
+from latticegenus.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -336,7 +337,7 @@ def test_internal_checks_survive_optimized_python():
         assert False, "stripped under -O, so this never fires"
         import latticegenus.search
         from latticegenus import GenusEstimate, VerifiedGenus
-        from latticegenus.cli import main
+        from latticegenus.cli import build_parser, main
         latticegenus.search.verify_certificate = (
             lambda g, cert: VerifiedGenus(len(cert.faces), 99)
         )
@@ -448,3 +449,68 @@ def test_fan_lift_bytes_do_not_depend_on_the_hash_seed(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(cert_path))
     assert code == 0
     assert "genus 1 (39 faces)" in out
+
+
+@pytest.mark.parametrize("argv", [["crosscheck", "--budget", "0"],
+                                  ["crosscheck", "--budget", "0", "--json"]])
+def test_crosscheck_refuses_a_bad_budget_before_any_row(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: budget must be positive\n"
+
+
+# the shared options each subcommand takes: exactly those its handler reads
+SHARED_OPTIONS = {
+    "group": {"--json", "--dot", "--order-cap"},
+    "grid": {"--json", "--dot"},
+    "bounds": {"--json", "--order-cap"},
+    "classify": {"--json"},
+    "verify": {"--json"},
+    "make-cert": set(),
+    "search": {"--json", "--seed", "--budget", "--order-cap"},
+    "minor": {"--json", "--budget", "--order-cap"},
+    "crosscheck": {"--json", "--seed", "--budget"},
+}
+OWN_OPTIONS = {"search": {"--genus", "--mode", "--restarts"}}
+
+
+def test_each_subcommand_offers_only_the_options_it_reads():
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    offered = {
+        name: {
+            flag
+            for action in p._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+        for name, p in subparsers.choices.items()
+    }
+    assert offered == {
+        name: opts | OWN_OPTIONS.get(name, set()) for name, opts in SHARED_OPTIONS.items()
+    }
+    assert sum(map(len, SHARED_OPTIONS.values())) == 19
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group", "Z8", "--seed", "1"],
+        ["grid", "2", "2", "--order-cap", "5"],
+        ["bounds", "Z8", "--dot"],
+        ["classify", "Z8", "--order-cap", "6"],
+        ["verify", "-", "--budget", "5"],
+        ["make-cert", "gn", "4", "--json"],
+        ["search", "Z4xZ4", "--genus", "1", "--dot"],
+        ["minor", "Z4xZ4", "k33", "--seed", "1"],
+        ["crosscheck", "--order-cap", "6"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_option_the_subcommand_ignores_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err

@@ -1,7 +1,19 @@
 """Minor search on group lattices: the genus-2 witnesses and the
-absence proofs that back them up."""
+absence proofs that back them up.
+
+``tests/minor_pins.json`` pins the search itself: for each (host,
+pattern, budget) case it holds the node count, the ``exhausted`` flag
+and the witness JSON the engine returned when the file was recorded.
+Re-record it (and review the diff) with
+
+    PYTHONPATH=src python tests/test_minors.py --record
+"""
 
 import itertools
+import json
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,10 +31,120 @@ from latticegenus import (
 )
 
 BOWTIE_HOSTS = ["Z16xZ4", "Z8xZ8", "Z8xZ2xZ3", "Z9xZ3xZ2", "Z2xZ2xZ9"]
+PINS_PATH = Path(__file__).parent / "minor_pins.json"
 
 
 def _k5() -> Graph:
     return Graph("abcde", [(u, v) for u, v in itertools.combinations("abcde", 2)])
+
+
+PATTERNS = {
+    "bowtie": double_k33_pattern,
+    "k33": lambda: complete_bipartite(3, 3),
+    "k5": _k5,
+    "k64": lambda: complete_bipartite(6, 4),
+    "k4": lambda: Graph("abcd", itertools.combinations("abcd", 2)),
+    "k23": lambda: complete_bipartite(2, 3),
+    "c4": lambda: cycle_graph(4, prefix="C"),
+}
+
+
+def _random_host(seed: int, core: Graph | None = None) -> Graph:
+    """``core`` (by default a dense random graph) with some edges
+    subdivided and pendant trees hung on, labeled so that label order is
+    unrelated to structure."""
+    rng = random.Random(seed)
+    if core is None:
+        n = rng.randint(6, 9)
+        edges = {(i - 1, i) for i in range(1, n)}
+        edges |= {
+            (u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.5
+        }
+    else:
+        index = {v: i for i, v in enumerate(core.vertices)}
+        n = core.vertex_count
+        edges = {(index[u], index[v]) for u, v in core.edges}
+    nxt = n
+    out = []
+    for u, v in sorted(edges):
+        if rng.random() < 0.35:
+            chain = [u] + list(range(nxt, nxt + rng.randint(1, 3))) + [v]
+            nxt = chain[-2] + 1
+            out += zip(chain, chain[1:])
+        else:
+            out.append((u, v))
+    for _ in range(rng.randint(1, 4)):
+        at = rng.randrange(nxt)
+        for _ in range(rng.randint(1, 3)):
+            out.append((at, nxt))
+            at, nxt = nxt, nxt + 1
+    names = [f"n{i:02d}" for i in range(nxt)]
+    rng.shuffle(names)
+    return Graph(names, [(names[u], names[v]) for u, v in out])
+
+
+def _subdivided_k33_with_pendants() -> Graph:
+    """K3,3 with every edge subdivided once and a pendant path on each
+    branch vertex, so kernelization both prunes and suppresses."""
+    k33 = complete_bipartite(3, 3)
+    edges = []
+    for u, v in k33.edges:
+        edges += [(u, f"s{u}{v}"), (f"s{u}{v}", v)]
+    for v in k33.vertices:
+        edges += [(v, f"t{v}"), (f"t{v}", f"u{v}")]
+    return Graph({x for e in edges for x in e}, edges)
+
+
+# (host, pattern, budget): crosscheck rows cheap enough to replay,
+# Kuratowski witnesses and absence proofs in small lattices and grids, a
+# budget stop, degree-2 patterns (searched without kernelization),
+# random hosts whose witnesses pull in kernel-path interiors, and
+# absence proofs in decorated planar grids
+PIN_CASES = [
+    ("Z16xZ4", "bowtie", 10**7),
+    ("Z8xZ2xZ3", "bowtie", 10**7),
+    ("Z9xZ3xZ2", "bowtie", 10**7),
+    ("Z2xZ2xZ9", "bowtie", 10**7),
+    ("Z16xZ4", "bowtie", 10),
+    ("Z2xZ2xZ3", "k33", 10**7),
+    ("Z2xZ2xZ3", "k5", 10**7),
+    ("Z4xZ4", "k33", 10**7),
+    ("Z4xZ4", "k5", 10**7),
+    ("Z4xZ2xZ3", "k33", 10**7),
+    ("Z2xZ2", "k64", 10**7),
+    ("Z4xZ4", "k23", 10**7),
+    ("Z4xZ4", "c4", 10**7),
+    ("2,2,2", "k33", 10**7),
+    ("2,2,2", "k5", 10**7),
+    ("3,3", "k5", 10**7),
+    ("3,3", "k33", 10**7),
+    ("subdivided-k33", "k33", 10**7),
+    ("subdivided-k33", "k23", 10**7),
+] + [
+    (f"random-{seed}", pattern, 10**6)
+    for seed, pattern in zip(range(8), ("k33", "k5", "k4", "k33", "k23", "k4", "c4", "k5"))
+] + [("planar-0", "k5", 10**6), ("planar-1", "k33", 10**6)]
+
+
+def _pin_host(name: str) -> Graph:
+    if name.startswith("random-"):
+        return _random_host(int(name.removeprefix("random-")))
+    if name.startswith("planar-"):
+        return _random_host(int(name.removeprefix("planar-")), grid_graph((3, 3)))
+    if name == "subdivided-k33":
+        return _subdivided_k33_with_pendants()
+    if name[0].isdecimal():
+        return grid_graph(tuple(int(t) for t in name.split(",")))
+    return lattice_for(name)
+
+
+def _pin(host: Graph, pattern: str, budget: int) -> dict:
+    result = find_minor(host, PATTERNS[pattern](), budget)
+    return {
+        "exhausted": result.exhausted,
+        "nodes": result.nodes,
+        "witness": None if result.witness is None else result.witness.to_json_dict(),
+    }
 
 
 def test_pattern_as_its_own_minor():
@@ -105,3 +227,54 @@ def test_witness_survives_json_round_trip():
     witness = find_minor(host, pattern).witness
     back = MinorWitness.from_json_dict(witness.to_json_dict())
     validate_minor_witness(host, pattern, back)
+
+
+def test_witness_in_subdivided_host_pulls_in_path_interiors():
+    # kernelization drops the pendant paths and suppresses every
+    # subdivision vertex; the lift must put the interiors back
+    host = _subdivided_k33_with_pendants()
+    pattern = complete_bipartite(3, 3)
+    result = find_minor(host, pattern)
+    assert result.witness is not None
+    validate_minor_witness(host, pattern, result.witness)
+    used = set().union(*result.witness.branch_sets.values())
+    assert any(v.startswith("s") for v in used)
+    assert not any(v.startswith(("t", "u")) for v in used)
+
+
+@pytest.mark.parametrize("pattern", ["k23", "c4"])
+def test_low_degree_patterns_search_the_whole_host(pattern):
+    host = lattice_for("Z4xZ4")
+    result = find_minor(host, PATTERNS[pattern]())
+    assert result.witness is not None
+    validate_minor_witness(host, PATTERNS[pattern](), result.witness)
+
+
+@pytest.mark.parametrize(
+    "host,pattern,budget", PIN_CASES, ids=[f"{h}-{p}-{b}" for h, p, b in PIN_CASES]
+)
+def test_search_is_pinned(host, pattern, budget):
+    pins = json.loads(PINS_PATH.read_text(encoding="utf-8"))
+    want = pins[f"{host} {pattern} {budget}"]
+    assert _pin(_pin_host(host), pattern, budget) == want
+
+
+def test_pins_cover_every_case_and_kind():
+    pins = json.loads(PINS_PATH.read_text(encoding="utf-8"))
+    assert sorted(pins) == sorted(f"{h} {p} {b}" for h, p, b in PIN_CASES)
+    assert any(pin["witness"] for pin in pins.values())
+    assert any(pin["exhausted"] for pin in pins.values())
+    assert any(not pin["exhausted"] and not pin["witness"] for pin in pins.values())
+
+
+def record() -> None:
+    pins = {
+        f"{h} {p} {b}": _pin(_pin_host(h), p, b) for h, p, b in PIN_CASES
+    }
+    PINS_PATH.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit("usage: PYTHONPATH=src python tests/test_minors.py --record")
+    record()

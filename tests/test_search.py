@@ -37,6 +37,16 @@ def test_config_validation():
         SearchConfig(-1)
 
 
+@pytest.mark.parametrize("budget,restarts", [(10, 1000), (16, 16), (17, 16), (2000, 16)])
+def test_heuristic_never_spends_more_than_its_budget(budget, restarts):
+    # Z4xZ4 is not planar, so the genus-0 search runs until the budget ends
+    outcome = search_embedding(
+        lattice_for("Z4xZ4"), SearchConfig(0, budget=budget, restarts=restarts)
+    )
+    assert outcome.status == "budget"
+    assert outcome.evaluations <= budget
+
+
 def test_search_needs_a_connected_graph_with_edges():
     disconnected = Graph("abcd", [("a", "b"), ("c", "d")])
     with pytest.raises(SearchError):
