@@ -34,7 +34,7 @@ from .evidence import (
     group_bounds,
 )
 from .formulas import FormulaError, GenusEstimate, classify_abelian, estimate_grid_genus
-from .graphs import Graph, GraphError, find_minor, grid_graph
+from .graphs import Graph, GraphError, find_minor, grid_graph, grid_vertex_count
 from .groups import (
     DEFAULT_ORDER_CAP,
     GroupError,
@@ -78,7 +78,11 @@ def _target(
     stripped = text.strip()
     # isdecimal, not isdigit: superscripts are digits that int() rejects
     if stripped and all(ch.isdecimal() or ch == "," for ch in stripped):
-        exps = tuple(int(tok) for tok in stripped.split(",") if tok)
+        try:
+            exps = tuple(int(tok) for tok in stripped.split(",") if tok)
+        except ValueError:
+            # int() refuses more digits than the interpreter's limit
+            raise GraphError("grid exponent has too many digits")
         if not exps:
             raise GraphError(f"empty exponent list {text!r}")
         return "grid " + ",".join(map(str, exps)), exps
@@ -92,7 +96,15 @@ def _target_graph(text: str, order_cap: int | None) -> tuple[str, Graph]:
     name, target = _target(text, order_cap)
     if isinstance(target, GroupSpec):
         return name, lattice_for(target, order_cap=order_cap)
-    return name, grid_graph(target)
+    return name, _grid(target, order_cap)
+
+
+def _grid(exponents: tuple[int, ...], order_cap: int | None) -> Graph:
+    """The grid graph, refused before it is built when it has more
+    vertices than the cap."""
+    if order_cap is not None and grid_vertex_count(exponents) > order_cap:
+        raise GraphError(f"grid vertex count exceeds cap {order_cap}")
+    return grid_graph(exponents)
 
 
 # ---------------------------------------------------------------- group
@@ -123,7 +135,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    g = grid_graph(tuple(args.exponents))
+    g = _grid(tuple(args.exponents), DEFAULT_ORDER_CAP)
     name = "grid_" + "_".join(str(e) for e in args.exponents)
     if args.dot:
         print(g.to_dot(name=name))

@@ -2,16 +2,18 @@
 
 A group is given as a direct sum of cyclic prime-power factors.  Every
 subgroup is the product of one subgroup of each p-primary part, so each
-part is enumerated alone, by joining its cyclic subgroups one at a time
-onto every subgroup found so far.  That is complete for abelian groups
-since every subgroup is generated by its cyclic pieces, and a join adds
-whole cosets through one translation list per cyclic generator.  The
-lattice graph connects subgroups related by a covering inclusion, which
-is an inclusion of prime index.
+part is enumerated alone.  A subgroup of Z_m1 x ... x Z_mn is a lattice
+between diag(m)·Z^n and Z^n, and is enumerated exactly once through that
+lattice's Hermite normal form: an upper-triangular basis whose pivots
+are powers of p dividing the moduli (Hampejs, Holighaus, Toth and
+Wiesmeyr, J. Numbers 2014, for rank 2; Butler, Mem. AMS 539, 1994, for
+higher rank).  The lattice graph connects subgroups related by a
+covering inclusion, which is an inclusion of prime index.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -121,6 +123,14 @@ def _prime_power_split(m: int) -> list[tuple[int, int]]:
     return out
 
 
+def _check_order(order: int, order_cap: int | None) -> None:
+    if order_cap is not None and order > order_cap:
+        # str() refuses an int past the interpreter's digit limit
+        bits = order.bit_length()
+        shown = order if bits < 4096 else f"above 2^{bits - 1}"
+        raise GroupError(f"group order {shown} exceeds cap {order_cap}")
+
+
 def parse_group_spec(text: str, order_cap: int | None = DEFAULT_ORDER_CAP) -> GroupSpec:
     """Parse an expression like ``"Z4xZ2xZ3"`` into a canonical GroupSpec.
 
@@ -137,13 +147,16 @@ def parse_group_spec(text: str, order_cap: int | None = DEFAULT_ORDER_CAP) -> Gr
         # isdecimal, not isdigit: superscripts are digits that int() rejects
         if not token.startswith("Z") or not body.isdecimal():
             raise GroupError(f"malformed factor {token!r}: expected Z<m> with m >= 2")
-        m = int(body)
+        try:
+            m = int(body)
+        except ValueError:
+            # int() refuses more digits than the interpreter's limit
+            raise GroupError(f"factor order has too many digits ({len(body)})")
         if m < 2:
             raise GroupError(f"factor order {m} is below 2")
         factors.extend(_prime_power_split(m))
     spec = GroupSpec(tuple(factors))
-    if order_cap is not None and spec.order > order_cap:
-        raise GroupError(f"group order {spec.order} exceeds cap {order_cap}")
+    _check_order(spec.order, order_cap)
     return spec
 
 
@@ -210,41 +223,73 @@ class SubgroupSet:
 
 
 def _primary_subgroups(p: int, moduli: tuple[int, ...]) -> list[list[tuple]]:
-    """Every subgroup of the p-group with cyclic factors ``moduli``, as
-    lists of coordinate tuples.  Elements are indices into the coordinate
-    list; each distinct cyclic subgroup gets one generator ``a`` and one
-    translation list ``x -> x + a``, through which every subgroup found so
-    far is joined with ``<a>``."""
+    """Every subgroup of the p-group with cyclic factors ``moduli``, each
+    once, as a list of coordinate tuples.
+
+    The subgroups of Z_m1 x ... x Z_mn are the lattices L with
+    diag(m)·Z^n <= L <= Z^n, and each such L has one upper-triangular row
+    Hermite normal form B: pivot d_i is a power of p dividing m_i, and
+    each entry right of a pivot is reduced modulo its column's pivot.  B
+    is built from the bottom row up; a candidate row i is kept when
+    m_i·e_i lies in the span of rows i..n, which a triangular solve on
+    rows i+1..n decides.  The subgroup's elements are sum c_k·B_k mod m
+    with 0 <= c_k < m_k/d_k, each met once.  Elements are handled as
+    indices into the coordinate list, so every subgroup shares its tuples
+    with the others.
+    """
+    n = len(moduli)
     coords = list(itertools.product(*(range(m) for m in moduli)))
-    index_of = {t: i for i, t in enumerate(coords)}
-    found = {frozenset([0])}
-    covered = {0}
-    for a in range(len(coords)):
-        if a in covered:
-            continue
-        shift = [
-            index_of[tuple((x + y) % m for x, y, m in zip(t, coords[a], moduli))]
-            for t in coords
-        ]
-        # k*a generates <a> exactly when p does not divide k
-        cur, k = a, 1
-        while cur != 0:
-            if k % p:
-                covered.add(cur)
-            cur, k = shift[cur], k + 1
-        # found holds the subgroups generated by earlier generators, so
-        # joining each with <a> gives those generated by generators up to a
-        for sub in list(found):
-            if a in sub:
-                continue
-            # cosets sub + k*a are equal or disjoint, and the first one
-            # already present is sub itself
-            out, coset = set(sub), list(sub)
-            while shift[coset[0]] not in out:
-                coset = [shift[x] for x in coset]
-                out.update(coset)
-            found.add(frozenset(out))
-    return [[coords[i] for i in sub] for sub in found]
+    # index of a coordinate tuple x is sum x_j * stride[j]; an element of
+    # the span of rows i+1..n is zero in coordinates up to i, so its
+    # index is below stride[i]
+    stride = [math.prod(moduli[j + 1 :]) for j in range(n)]
+    out: list[list[tuple]] = []
+
+    # local, so the tables go with this call
+    @functools.cache
+    def shift(tail: tuple[int, ...]) -> list[int]:
+        """x -> x + tail on indices below stride[n - 1 - len(tail)]."""
+        table = [0]
+        for j, t in zip(range(n - 1, -1, -1), reversed(tail)):
+            m, s = moduli[j], stride[j]
+            table = [(a + t) % m * s + y for a in range(m) for y in table]
+        return table
+
+    def in_span(w: list[int], rows: list[tuple[int, ...]]) -> bool:
+        """Whether w, over the columns of rows, is an integer combination
+        of the triangular rows."""
+        for j, row in enumerate(rows):
+            q, rem = divmod(w[j], row[0])
+            if rem:
+                return False
+            for k in range(j + 1, len(w)):
+                w[k] -= q * row[k - j]
+        return True
+
+    def extend(i: int, rows: list[tuple[int, ...]], elems: list[int]) -> None:
+        # rows holds B_{i+1..n} cut to their columns from the pivot on, and
+        # elems the indices of their span mod m
+        m = moduli[i]
+        pivots = [row[0] for row in rows]
+        d = 1
+        while m % d == 0:
+            r = m // d
+            step = d * stride[i]
+            for tail in itertools.product(*(range(e) for e in pivots)):
+                if not in_span([r * t for t in tail], rows):
+                    continue
+                cosets, table = [elems], shift(tail)
+                for _ in range(1, r):
+                    cosets.append([table[x] for x in cosets[-1]])
+                sub = [c * step + x for c, coset in enumerate(cosets) for x in coset]
+                if i:
+                    extend(i - 1, [(d, *tail)] + rows, sub)
+                else:
+                    out.append([coords[x] for x in sub])
+            d *= p
+
+    extend(n - 1, [], [0])
+    return out
 
 
 def enumerate_subgroups(
@@ -258,8 +303,7 @@ def enumerate_subgroups(
     factors adjacent, so a product subgroup's elements are the
     concatenated coordinate tuples of its parts.
     """
-    if order_cap is not None and g.order > order_cap:
-        raise GroupError(f"group order {g.order} exceeds cap {order_cap}")
+    _check_order(g.order, order_cap)
     parts = [
         _primary_subgroups(p, tuple(p**k for _, k in group))
         for p, group in itertools.groupby(g.factors, key=lambda f: f[0])

@@ -184,6 +184,17 @@ def test_fan_lift_certificate_verifies(tmp_path, capsys):
     assert "genus 1 (39 faces)" in out
 
 
+def test_fan_lift_at_thirteen_verifies(tmp_path, capsys):
+    # lifts onto the Z169xZ169 lattice, 213 subgroups
+    code, out, _ = run(capsys, "make-cert", "fan-lift", "13")
+    assert code == 0
+    cert_path = tmp_path / "lift.json"
+    cert_path.write_text(out)
+    code, out, _ = run(capsys, "verify", str(cert_path))
+    assert code == 0
+    assert "genus 3 (203 faces)" in out
+
+
 def test_search_finds_planar_grid(capsys):
     code, out, _ = run(capsys, "search", "2,2", "--genus", "0")
     assert code == 0
@@ -293,6 +304,45 @@ def test_superscript_digits_are_input_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "Z" + "1" * 5000),
+        ("group", "Z4xZ" + "2" * 5000),
+        ("search", "1" * 5000, "--genus", "0"),
+        ("bounds", "2," + "1" * 5000),
+        ("group", f"Z{2**13000}xZ{3**8300}"),
+    ],
+)
+def test_factors_past_the_digit_limit_are_input_errors(capsys, argv):
+    # int() and str() refuse more than 4300 digits, here in a factor or,
+    # for the last case, in the product of two factors
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (("grid", "5", "5", "5", "5", "5", "5", "5", "5"), 4096),
+        (("search", "5,5,5,5,5,5,5", "--genus", "0"), 4096),
+        (("minor", "5,5,5,5,5,5,5", "k5"), 4096),
+        (("search", "2,2", "--genus", "0", "--order-cap", "8"), 8),
+    ],
+)
+def test_grid_targets_over_the_cap_are_input_errors(capsys, argv, cap):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: grid vertex count exceeds cap {cap}\n")
+
+
+def test_grid_at_the_cap_is_built(capsys):
+    code, out, _ = run(capsys, "grid", "3", "3", "3", "3", "3", "3")
+    assert code == 0
+    assert out.startswith("grid_3_3_3_3_3_3: 4096 vertices")
 
 
 def test_verify_empty_graph_is_a_violation(capsys, monkeypatch):

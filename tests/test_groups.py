@@ -3,12 +3,16 @@
 Two oracles back the enumerator: an all-subsets filter that tries every
 element subset of a tiny group, and a pairwise-join fixpoint over
 cyclic subgroups for mid-sized groups.  Both are written here from
-scratch, without reusing the package's closure code.
+scratch, without reusing the package's enumeration code.  Larger groups
+are checked against closed-form subgroup counts.
 """
 
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticegenus import (
     DEFAULT_ORDER_CAP,
@@ -105,6 +109,58 @@ def test_enumeration_matches_pair_join_oracle(text):
     assert _element_sets(text) == oracle_pair_join(spec.moduli)
 
 
+# -------------------------------------------------- closed-form counts
+
+
+def _gaussian_binomial(n, k, q):
+    """The number of k-dimensional subspaces of GF(q)^n: each partial
+    product is itself a Gaussian binomial, so every division is exact."""
+    out = 1
+    for i in range(k):
+        out = out * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
+    return out
+
+
+def _divisors(m):
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+@pytest.mark.parametrize("p, n, total", [(3, 4, 212), (5, 3, 64), (2, 7, 29212)])
+def test_elementary_abelian_census_is_gaussian_binomials(p, n, total):
+    # a subgroup of Z_p^n of order p^k is a k-dimensional subspace
+    want = {p**k: _gaussian_binomial(n, k, p) for k in range(n + 1)}
+    assert sum(want.values()) == total
+    subs = enumerate_subgroups(parse_group_spec("x".join([f"Z{p}"] * n)))
+    assert subs.census() == want
+
+
+@pytest.mark.parametrize(
+    "m, n, total",
+    [(8, 8, 37), (27, 27, 76), (169, 169, 213), (16, 4, None), (12, 18, None)],
+)
+def test_rank_two_totals_follow_hampejs(m, n, total):
+    # Hampejs, Holighaus, Toth and Wiesmeyr (2014): Z_m x Z_n has
+    # sum over a | m, b | n of gcd(a, b) subgroups
+    want = sum(math.gcd(a, b) for a in _divisors(m) for b in _divisors(n))
+    assert total in (None, want)
+    subs = enumerate_subgroups(parse_group_spec(f"Z{m}xZ{n}", order_cap=None), None)
+    assert len(subs.subgroups) == want
+
+
+@pytest.mark.parametrize(
+    "text", ["Z3xZ3xZ3xZ3", "Z5xZ5xZ5", "Z2xZ2xZ2xZ2xZ2xZ2", "Z27xZ9", "Z8xZ4xZ2xZ3"]
+)
+def test_every_subgroup_is_closed_and_listed_once(text):
+    spec = parse_group_spec(text)
+    zero = tuple(0 for _ in spec.moduli)
+    subs = enumerate_subgroups(spec).subgroups
+    assert len({sub.elements for sub in subs}) == len(subs)
+    for sub in subs:
+        elems = sub.elements
+        assert zero in elems
+        assert all(_add(spec.moduli, a, b) in elems for a in elems for b in elems)
+
+
 # ------------------------------------------------------------- parsing
 
 
@@ -124,6 +180,28 @@ def test_parse_prime_pattern():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(GroupError):
         parse_group_spec(bad)
+
+
+_SPEC_TEXTS = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet="Zx0123456789 ,-\u00b2", max_size=12),
+    # factors past the digit limit of int() on str
+    st.integers(4301, 6000).map(lambda n: "Z" + "1" * n),
+    # orders past that limit built from factors below it
+    st.builds(
+        lambda a, b: f"Z{2**a}xZ{3**b}", st.integers(1, 14000), st.integers(1, 9000)
+    ),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(text=_SPEC_TEXTS)
+def test_every_string_parses_or_raises_group_error(text):
+    try:
+        spec = parse_group_spec(text)
+    except GroupError:
+        return
+    assert spec.order <= DEFAULT_ORDER_CAP
 
 
 def test_parse_order_cap():
