@@ -110,6 +110,7 @@ class VerifiedGenus:
     genus: int
 
 
+# not built on _Darts on purpose: the verifier checks what that engine produces
 def verify_certificate(g: Graph, cert: EmbeddingCertificate) -> VerifiedGenus:
     """Check that cert describes a genuine orientable embedding of g and
     return its genus.
@@ -119,23 +120,6 @@ def verify_certificate(g: Graph, cert: EmbeddingCertificate) -> VerifiedGenus:
     mere directed double cover without single rotation cycles is
     rejected because Euler's formula would not apply to it.
     """
-    return _verify(g, cert)[0]
-
-
-def rotation_from_certificate(cert: EmbeddingCertificate) -> RotationSystem:
-    """Recover the rotation system whose face trace is cert.
-
-    The certificate is verified first; the turn map at each vertex is
-    then a single cycle, which is the rotation.
-    """
-    return RotationSystem(_verify(cert.graph, cert)[1])
-
-
-# not built on _Darts on purpose: the verifier checks what that engine produces
-def _verify(
-    g: Graph, cert: EmbeddingCertificate
-) -> tuple[VerifiedGenus, dict[str, tuple[str, ...]]]:
-    """verify_certificate's checks, plus the turn cycle at each vertex."""
     # the empty graph counts as connected, and V-E+F = 0 would read as a torus
     if not g.vertices:
         raise CertificateError(
@@ -182,7 +166,6 @@ def _verify(
         n = len(walk)
         for i in range(n):
             succ[walk[i]][walk[i - 1]] = walk[(i + 1) % n]
-    order: dict[str, tuple[str, ...]] = {}
     for v in g.vertices:
         nbrs = g.neighbors(v)
         # an isolated vertex has no turns, so its cycle stays empty
@@ -195,7 +178,6 @@ def _verify(
                 f"turns at {v!r} split into more than one cycle "
                 f"({len(cycle)} of {len(nbrs)} neighbors reached)",
             )
-        order[v] = tuple(cycle)
 
     f = len(cert.faces)
     two_minus_2g = g.vertex_count - g.edge_count + f
@@ -205,7 +187,7 @@ def _verify(
             "bad-genus",
             f"V-E+F = {two_minus_2g} gives no orientable genus",
         )
-    return VerifiedGenus(f, genus2 // 2), order
+    return VerifiedGenus(f, genus2 // 2)
 
 
 class _Darts:

@@ -5,9 +5,9 @@ new Graph. This module covers construction (paths, Cartesian products, grid
 graphs, the G_n and H_n gadget families, complete bipartite patterns),
 structural queries (girth, connectivity, blocks, planarity, isomorphism), and
 graph minors: witness validation and a backtracking branch-set search with
-degree-based kernelization. The minor search works on integer vertex ids
-(positions in ``host.vertices``) from kernelization to the lifted witness
-and maps back to labels only at the end.
+degree-based kernelization and pattern symmetry broken along a stabilizer
+chain. The minor search works on integer vertex ids (positions in
+``host.vertices``) from kernelization to the lifted witness.
 """
 
 from __future__ import annotations
@@ -587,17 +587,42 @@ def _pattern_order(pattern: Graph) -> list:
     return order
 
 
+def _symmetry_constraints(pattern: Graph, order: list) -> list[set]:
+    """cons[j]: the levels ell < j such that some automorphism of pattern
+    fixes order[:ell] pointwise and sends order[ell] to order[j].
+
+    Read off the stabilizer chain of ``order`` without listing the group:
+    one isomorphism test per same-degree pair, with order[:ell] labeled by
+    level so that only their pointwise stabilizer matches.
+    """
+    g = to_networkx(pattern)
+    h = g.copy()
+    cons: list[set] = [set() for _ in order]
+    for ell, v in enumerate(order):
+        for j in range(ell + 1, len(order)):
+            w = order[j]
+            if pattern.degree(w) != pattern.degree(v):
+                continue
+            g.nodes[v]["pin"] = h.nodes[w]["pin"] = -1
+            if nx.vf2pp_isomorphism(g, h, node_label="pin") is not None:
+                cons[j].add(ell)
+            del h.nodes[w]["pin"]
+        g.nodes[v]["pin"] = h.nodes[v]["pin"] = ell
+    return cons
+
+
 def find_minor(host: Graph, pattern: Graph, budget: int = 10**7) -> MinorSearchResult:
     """Backtracking branch-set search for pattern as a minor of host.
 
     One depth-first pass over kernel bitmasks: pattern vertices are placed
     in a most-constrained-first order, candidate branch sets grow in a
-    canonical anchor-then-frontier order, and non-adjacent pattern twins
-    (equal neighborhoods) are forced into increasing branch-set order so
-    symmetric assignments are tried once. Deterministic, so the first
-    witness found is stable. The result's `exhausted` flag is True only
-    when the pass finished within budget, which proves the pattern is not
-    a minor.
+    canonical anchor-then-frontier order, and wherever the stabilizer of
+    levels 0..ell-1 sends level ell to level j, level j's branch set must
+    have the larger minimum vertex, as in the lex-least of any witness's
+    images under the pattern's automorphisms, so symmetric assignments
+    are tried once. Deterministic, so the first witness found is stable.
+    The result's `exhausted` flag is True only when the pass finished
+    within budget, which proves the pattern is not a minor.
     """
     if budget <= 0:
         raise GraphError("budget must be positive")
@@ -617,6 +642,8 @@ def find_minor(host: Graph, pattern: Graph, budget: int = 10**7) -> MinorSearchR
     bit_of = {v: b for b, v in enumerate(verts)}
     nbr = [sum(1 << bit_of[w] for w in adj[v]) for v in verts]
     deg = [len(adj[v]) for v in verts]
+    # per bit: neighbor mask, and degree less the ends of the tree edge to it
+    by_bit = {1 << b: (nbr[b], deg[b] - 2) for b in range(len(verts))}
 
     order = _pattern_order(pattern)
     pos = {v: i for i, v in enumerate(order)}
@@ -632,26 +659,21 @@ def find_minor(host: Graph, pattern: Graph, budget: int = 10**7) -> MinorSearchR
     # vertex, in placement order) needs to be searched: each automorphism
     # pins an ordering between the first level it moves and that level's
     # image, and the lex-least witness satisfies every one of these at once
-    cons: list[set] = [set() for _ in range(npat)]
-    auto_count = 0
-    for sigma in nx.vf2pp_all_isomorphisms(to_networkx(pattern), to_networkx(pattern)):
-        auto_count += 1
-        for ell in range(npat):
-            img = sigma[order[ell]]
-            if img != order[ell]:
-                cons[pos[img]].add(ell)
-                break
-        if auto_count >= 100_000:
-            break
+    cons = _symmetry_constraints(pattern, order)
 
-    # fut[r][i]: pattern edges at order[r] still unplaced after level i; each
-    # needs its own free neighbor of r's branch set, since branch sets are
-    # disjoint and every one of them must touch r's set through a distinct
-    # host vertex
+    # fut[i]: (r, k) for each level r <= i whose pattern vertex still has
+    # k > 0 edges unplaced after level i; each needs its own free neighbor
+    # of r's branch set, since branch sets are disjoint and every one of
+    # them must touch r's set through a distinct host vertex
     fut = [
-        [sum(1 for w in pattern.neighbors(order[r]) if pos[w] > i) for i in range(npat)]
-        for r in range(npat)
+        [(r, k) for r in range(i + 1)
+         if (k := sum(1 for w in pattern.neighbors(order[r]) if pos[w] > i))]
+        for i in range(npat)
     ]
+    # anchor masks by kernel degree, highest first: pattern vertices needing
+    # many boundary edges resolve fastest around the host's densest spots
+    deg_classes = [sum(1 << b for b in range(nk) if deg[b] == d)
+                   for d in sorted(set(deg), reverse=True)]
 
     nodes = 0
     sets = [0] * npat
@@ -667,10 +689,7 @@ def find_minor(host: Graph, pattern: Graph, budget: int = 10**7) -> MinorSearchR
         true_slack = nk - used - (npat - i - 1)
         if true_slack < 1:
             return False
-        slack = min(true_slack, max_size)
-        capped_level = slack < true_slack
         req = needed[i]
-        restmasks = [sets[r] for r in req[1:]]
         min_above = 0
         for ell in cons[i]:
             low = sets[ell] & -sets[ell]
@@ -679,36 +698,38 @@ def find_minor(host: Graph, pattern: Graph, budget: int = 10**7) -> MinorSearchR
         # the whole branch set must sit above every constraining minimum,
         # since growing can only lower a set's minimum vertex
         region = free & ~(min_above - 1) if min_above else free
-        restadj = [setadj[r] & region for r in req[1:]]
-        nrest = len(restmasks)
         amask = setadj[req[0]] & region if req else region
+        if not amask:
+            return False
+        capped_level = max_size < true_slack
+        slack = max_size if capped_level else true_slack
+        rest = [(sets[r], setadj[r] & region) for r in req[1:]]
+        pd, futs = pdeg[i], fut[i]
 
+        # outdeg: degree sum of cur less the two ends of each spanning-tree
+        # edge, an upper bound on the host edges leaving cur
         def grow(cur: int, curadj: int, frontier: int, banned: int,
-                 size: int, degsum: int) -> bool:
+                 size: int, outdeg: int) -> bool:
             nonlocal nodes, size_capped
             nodes += 1
             if nodes > budget:
                 raise _Budget
             # a required neighbor whose remaining contact zone is banned or
             # swallowed can never be reached by any extension of this set
-            for k in range(nrest):
-                if not (curadj & restmasks[k]) and not (restadj[k] & ~(banned | cur)):
-                    return False
-            if (
-                degsum - 2 * (size - 1) >= pdeg[i]
-                and all(curadj & r for r in restmasks)
-            ):
+            touches_all = True
+            for rmask, radj in rest:
+                if not curadj & rmask:
+                    if not radj & ~(banned | cur):
+                        return False
+                    touches_all = False
+            if touches_all and outdeg >= pd:
                 nfree = free & ~cur
-                ok = (curadj & nfree).bit_count() >= fut[i][i]
-                if ok:
-                    for r in range(i):
-                        need = fut[r][i]
-                        if need and (setadj[r] & nfree).bit_count() < need:
-                            ok = False
-                            break
-                if ok:
+                setadj[i] = curadj
+                for r, k in futs:
+                    if (setadj[r] & nfree).bit_count() < k:
+                        break
+                else:
                     sets[i] = cur
-                    setadj[i] = curadj
                     if place(i + 1, nfree, used + size):
                         return True
                     sets[i] = 0
@@ -716,34 +737,31 @@ def find_minor(host: Graph, pattern: Graph, budget: int = 10**7) -> MinorSearchR
                 if capped_level and frontier:
                     size_capped = True
                 return False
+            # the frontier is disjoint from cur and banned, and its bits
+            # leave it (and avail) as they are tried, lowest first
             ext = frontier
-            newly = 0
+            avail = region & ~(banned | cur)
             while ext:
                 vb = ext & -ext
                 ext ^= vb
-                v = vb.bit_length() - 1
-                ncur = cur | vb
-                nfront = (frontier | (nbr[v] & region)) & ~ncur & ~banned & ~newly
-                if grow(ncur, curadj | nbr[v], nfront, banned | newly,
-                        size + 1, degsum + deg[v]):
+                avail ^= vb
+                nv, dv = by_bit[vb]
+                if grow(cur | vb, curadj | nv, ext | (nv & avail), banned,
+                        size + 1, outdeg + dv):
                     return True
-                newly |= vb
+                banned |= vb
             return False
 
-        anchors = []
-        while amask:
-            ab = amask & -amask
-            amask ^= ab
-            anchors.append(ab.bit_length() - 1)
-        # high-degree anchors first: pattern vertices needing many boundary
-        # edges resolve fastest around the host's densest spots
-        anchors.sort(key=lambda a: (-deg[a], a))
         banned = 0
-        for a in anchors:
-            ab = 1 << a
-            if grow(ab, nbr[a], nbr[a] & region & ~banned, banned, 1, deg[a]):
-                return True
-            banned |= ab
+        for dm in deg_classes:
+            todo = amask & dm
+            while todo:
+                ab = todo & -todo
+                todo ^= ab
+                a = ab.bit_length() - 1
+                if grow(ab, nbr[a], nbr[a] & region & ~banned, banned, 1, deg[a]):
+                    return True
+                banned |= ab
         return False
 
     # deepen on the largest branch set allowed: small-cap passes are cheap

@@ -22,7 +22,6 @@ from latticegenus import (
     is_isomorphic,
     lattice_for,
     lift_certificate_to_lattice,
-    rotation_from_certificate,
     trace_faces,
     verify_certificate,
     zppq_certificate,
@@ -215,8 +214,6 @@ def test_rejects_one_vertex_certificate_without_crashing():
         verify_certificate(g, cert)
     assert err.value.code == "bad-genus"
     assert str(err.value) == "V-E+F = 1 gives no orientable genus"
-    with pytest.raises(CertificateError):
-        rotation_from_certificate(cert)
 
 
 def test_rejects_the_empty_graph():
@@ -276,17 +273,6 @@ def test_certificate_json_requires_both_keys():
     with pytest.raises(CertificateError) as err:
         EmbeddingCertificate.from_json_dict(data)
     assert err.value.code == "malformed-json"
-
-
-@pytest.mark.parametrize(
-    "cert",
-    [gn_certificate(6), hn_certificate(5), zppq_certificate(3)],
-    ids=["fan-gadget", "doubled-gadget", "two-prime"],
-)
-def test_rotation_round_trip_reproduces_faces(cert):
-    rot = rotation_from_certificate(cert)
-    retraced = trace_faces(cert.graph, rot)
-    assert retraced.canonical_faces() == cert.canonical_faces()
 
 
 def test_fan_expansion_at_width_one_subdivides():

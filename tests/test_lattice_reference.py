@@ -5,9 +5,9 @@ they replaced.
 are the earlier implementation, kept verbatim apart from their names: one
 closure over the whole group's elements (an addition table up to
 ``_TABLE_LIMIT`` elements, tuple arithmetic above it) and a cover test over
-every pair of subgroups.  The package's per-prime product, translation
-closure and prime-index covers must reproduce its labels, element lists and
-edges exactly.
+every pair of subgroups.  The package's per-prime product, enumeration
+from Hermite normal forms and prime-index covers must reproduce its labels,
+element lists and edges exactly.
 """
 
 import itertools

@@ -15,6 +15,7 @@ import random
 import sys
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from latticegenus import (
@@ -29,6 +30,7 @@ from latticegenus import (
     lattice_for,
     validate_minor_witness,
 )
+from latticegenus.graphs import _pattern_order, _symmetry_constraints, to_networkx
 
 BOWTIE_HOSTS = ["Z16xZ4", "Z8xZ8", "Z8xZ2xZ3", "Z9xZ3xZ2", "Z2xZ2xZ9"]
 PINS_PATH = Path(__file__).parent / "minor_pins.json"
@@ -265,6 +267,67 @@ def test_pins_cover_every_case_and_kind():
     assert any(pin["witness"] for pin in pins.values())
     assert any(pin["exhausted"] for pin in pins.values())
     assert any(not pin["exhausted"] and not pin["witness"] for pin in pins.values())
+
+
+def reference_constraints(pattern: Graph, order: list) -> list[set]:
+    """The enumeration ``find_minor`` used before the stabilizer chain:
+    list every automorphism and record its first moved level at the
+    position of that level's image.  The loop is kept verbatim,
+    including its cap on the number of automorphisms."""
+    pos = {v: i for i, v in enumerate(order)}
+    npat = len(order)
+    cons: list[set] = [set() for _ in range(npat)]
+    auto_count = 0
+    for sigma in nx.vf2pp_all_isomorphisms(to_networkx(pattern), to_networkx(pattern)):
+        auto_count += 1
+        for ell in range(npat):
+            img = sigma[order[ell]]
+            if img != order[ell]:
+                cons[pos[img]].add(ell)
+                break
+        if auto_count >= 100_000:
+            break
+    return cons
+
+
+def _from_networkx(h: "nx.Graph") -> Graph:
+    return Graph([str(v) for v in h], [(str(u), str(v)) for u, v in h.edges])
+
+
+def _connected_gnp(seed: int) -> Graph:
+    rng = random.Random(seed)
+    n = rng.randint(4, 9)
+    while True:
+        h = nx.gnp_random_graph(n, rng.uniform(0.3, 0.8), seed=rng.randrange(10**6))
+        if nx.is_connected(h):
+            return _from_networkx(h)
+
+
+CONSTRAINT_PATTERNS = PATTERNS | {
+    "k44": lambda: complete_bipartite(4, 4),
+    "petersen": lambda: _from_networkx(nx.petersen_graph()),
+    "cube": lambda: _from_networkx(nx.convert_node_labels_to_integers(nx.hypercube_graph(3))),
+} | {f"gnp-{seed}": (lambda seed=seed: _connected_gnp(seed)) for seed in range(32)}
+
+
+@pytest.mark.parametrize("name", CONSTRAINT_PATTERNS)
+def test_symmetry_constraints_match_automorphism_enumeration(name):
+    pattern = CONSTRAINT_PATTERNS[name]()
+    order = _pattern_order(pattern)
+    assert _symmetry_constraints(pattern, order) == reference_constraints(pattern, order)
+
+
+@pytest.mark.parametrize("m,n", [(3, 3), (4, 4), (6, 4), (3, 8)])
+def test_symmetry_constraints_of_complete_bipartite(m, n):
+    # S_m x S_n (with the side swap when m = n): once order[0] is pinned
+    # the sides are fixed, and each level's orbit is the rest of its side;
+    # K3,8 has 241 920 automorphisms, past the old enumeration's cap
+    pattern = complete_bipartite(m, n)
+    order = _pattern_order(pattern)
+    cons = _symmetry_constraints(pattern, order)
+    for j, w in enumerate(order):
+        want = {ell for ell in range(j) if order[ell][0] == w[0] or (m == n and ell == 0)}
+        assert cons[j] == want
 
 
 def record() -> None:
