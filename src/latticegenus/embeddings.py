@@ -192,8 +192,9 @@ def verify_certificate(g: Graph, cert: EmbeddingCertificate) -> VerifiedGenus:
 
 class _Darts:
     """Integer dart tables: the engine that turns rotation systems (per
-    vertex id, neighbor ids in cyclic order) into faces.  Vertex ids
-    follow ``g.vertices`` and dart ids sorted (tail, head) labels.
+    vertex id, neighbor ids in cyclic order) into faces.  The vertex ids
+    are the ones the Graph owns (``g.index``) and its adjacency
+    ``g.adj`` is read as is; dart ids follow sorted (tail, head) ids.
 
     Faces are the cycles of a ``next`` array over dart ids.  A search
     keeps one such array and moves through rotations by ``swap``, which
@@ -202,11 +203,9 @@ class _Darts:
 
     def __init__(self, g: Graph):
         self.vertices = g.vertices
-        self.vid = {v: i for i, v in enumerate(self.vertices)}
-        self.nbrs = [[self.vid[u] for u in g.neighbors(v)] for v in self.vertices]
         self.dart_id: list[dict[int, int]] = []
         self.tail: list[int] = []
-        for v, nb in enumerate(self.nbrs):
+        for v, nb in enumerate(g.adj):
             self.dart_id.append({u: len(self.tail) + i for i, u in enumerate(nb)})
             self.tail.extend([v] * len(nb))
         self.count = len(self.tail)
@@ -309,9 +308,8 @@ def trace_faces(g: Graph, rot: RotationSystem) -> EmbeddingCertificate:
     certificate invariants.
     """
     rot.validate(g)
-    darts = _Darts(g)
-    rotation = [[darts.vid[u] for u in rot.order[v]] for v in g.vertices]
-    return EmbeddingCertificate(g, darts.faces(rotation))
+    rotation = [[g.index[u] for u in rot.order[v]] for v in g.vertices]
+    return EmbeddingCertificate(g, _Darts(g).faces(rotation))
 
 
 def _verified_family(

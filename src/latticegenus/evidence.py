@@ -29,7 +29,6 @@ from .graphs import (
     complete_bipartite,
     double_k33_pattern,
     find_minor,
-    girth,
     is_planar,
 )
 from .groups import DEFAULT_ORDER_CAP, GroupSpec, lattice_for, parse_group_spec
@@ -81,10 +80,10 @@ def _planarity(lattice: Graph) -> GenusEstimate:
     return GenusEstimate.at_least(1, ["nonplanar"])
 
 
-def _euler_bound(lattice: Graph) -> GenusEstimate | None:
-    # the quadrilateral Euler bound needs girth >= 4
-    if girth(lattice) < 4:
-        return None
+def _euler_bound(lattice: Graph) -> GenusEstimate:
+    # the quadrilateral Euler bound needs girth >= 4, which every lattice
+    # has: a cover changes Omega(|H|) by exactly 1, so the parity of
+    # Omega(|H|) 2-colors the lattice and it has no odd cycle
     lower = euler_lower_bound_int(lattice.vertex_count, lattice.edge_count)
     return GenusEstimate.at_least(lower, ["bound:euler"])
 
@@ -111,9 +110,8 @@ def group_bounds(
     lattice = lattice_for(spec, order_cap=order_cap)
     planarity = _planarity(lattice)
     est = est.merge(planarity)
-    euler = None if planarity.exact else _euler_bound(lattice)
-    if euler is not None:
-        est = est.merge(euler)
+    if not planarity.exact:
+        est = est.merge(_euler_bound(lattice))
     return est
 
 

@@ -223,12 +223,11 @@ def block_additive_genus(
     Genus adds over biconnected components, so lower and upper bounds
     add componentwise and the sum is exact when every block is.
     """
-    decomp = block_decomposition(g)
     lower = 0
     upper: int | None = 0
     exact = True
     prov: list[str] = ["block-additivity"]
-    for block in decomp.blocks:
+    for block in block_decomposition(g):
         if block not in per_block_genus:
             raise FormulaError(
                 f"missing genus estimate for block with vertices "

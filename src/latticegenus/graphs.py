@@ -6,8 +6,9 @@ graphs, the G_n and H_n gadget families, complete bipartite patterns),
 structural queries (girth, connectivity, blocks, planarity, isomorphism), and
 graph minors: witness validation and a backtracking branch-set search with
 degree-based kernelization and pattern symmetry broken along a stabilizer
-chain. The minor search works on integer vertex ids (positions in
-``host.vertices``) from kernelization to the lifted witness.
+chain. A Graph numbers its vertices once (id = index in the sorted
+``vertices``); every engine, the face engine in ``embeddings`` included,
+reads that numbering and maps ids back to labels only at its edges.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "girth",
     "is_planar",
     "is_isomorphic",
-    "BlockDecomposition",
     "block_decomposition",
     "MinorWitness",
     "validate_minor_witness",
@@ -52,29 +52,34 @@ class GraphError(ValueError):
 # ============================================================
 
 class Graph:
-    """Immutable simple undirected graph with string vertex labels."""
+    """Immutable simple undirected graph with string vertex labels.
+    ``index`` maps each label to its id (its position in ``vertices``) and
+    ``adj[i]`` holds id i's neighbor ids in ascending order; read-only."""
 
-    __slots__ = ("vertices", "edges", "_adj")
+    __slots__ = ("vertices", "edges", "index", "adj")
 
     def __init__(self, vertices, edges):
         vs = sorted({str(v) for v in vertices})
-        vset = set(vs)
+        index = {v: i for i, v in enumerate(vs)}
         es = set()
         for pair in edges:
             u, v = pair
             u, v = str(u), str(v)
             if u == v:
                 raise GraphError(f"loop edge at {u!r}")
-            if u not in vset or v not in vset:
+            if u not in index or v not in index:
                 raise GraphError(f"edge ({u!r}, {v!r}) leaves the vertex set")
             es.add((u, v) if u <= v else (v, u))
-        adj: dict[str, list[str]] = {v: [] for v in vs}
-        for u, v in sorted(es):
-            adj[u].append(v)
-            adj[v].append(u)
         self.vertices: tuple[str, ...] = tuple(vs)
         self.edges: tuple[tuple[str, str], ...] = tuple(sorted(es))
-        self._adj: dict[str, tuple[str, ...]] = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        self.index: dict[str, int] = index
+        nbrs: list[list[int]] = [[] for _ in vs]
+        # edges ascend by (lower, higher) end, so each list fills in
+        # ascending order: lower neighbors first, then higher ones
+        for u, v in self.edges:
+            nbrs[index[u]].append(index[v])
+            nbrs[index[v]].append(index[u])
+        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, nbrs))
 
     # ---- basic queries ----
 
@@ -87,31 +92,21 @@ class Graph:
         return len(self.edges)
 
     def has_edge(self, u: str, v: str) -> bool:
-        return u in self._adj and v in self._adj[u]
+        a, b = self.index.get(u), self.index.get(v)
+        return a is not None and b is not None and b in self.adj[a]
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         try:
-            return self._adj[v]
+            i = self.index[v]
         except KeyError:
             raise GraphError(f"unknown vertex {v!r}") from None
+        return tuple(self.vertices[w] for w in self.adj[i])
 
     def degree(self, v: str) -> int:
         return len(self.neighbors(v))
 
-    def min_degree(self) -> int:
-        return min((len(ns) for ns in self._adj.values()), default=0)
-
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in self._adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        return _connected(self.adj, range(len(self.adj)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -327,33 +322,60 @@ def zppq_graph(p: int) -> Graph:
 # Structural queries
 # ============================================================
 
+def _connected(adj, members) -> bool:
+    """Whether the ids in ``members`` (a set or range) induce a connected
+    subgraph of the id adjacency ``adj``; vacuously so when empty."""
+    if not members:
+        return True
+    start = next(iter(members))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w in members and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(members)
+
+
 def girth(g: Graph):
     """Length of the shortest cycle; float('inf') for forests."""
     best = float("inf")
-    for root in g.vertices:
-        dist = {root: 0}
-        parent = {root: None}
+    adj = g.adj
+    # one BFS per root: id w is reached in root's BFS iff mark[w] == root,
+    # so no table is cleared between roots
+    mark = [-1] * len(adj)
+    dist = [0] * len(adj)
+    parent = [-1] * len(adj)
+    for root in range(len(adj)):
+        mark[root] = root
+        dist[root] = 0
+        parent[root] = -1
         queue = [root]
         while queue:
             nxt = []
             for u in queue:
-                if 2 * dist[u] >= best - 1:
+                du = dist[u]
+                if 2 * du >= best - 1:
                     continue
-                for w in g.neighbors(u):
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
+                pu = parent[u]
+                for w in adj[u]:
+                    if mark[w] != root:
+                        mark[w] = root
+                        dist[w] = du + 1
                         parent[w] = u
                         nxt.append(w)
-                    elif parent[u] != w and parent[w] != u:
-                        best = min(best, dist[u] + dist[w] + 1)
+                    elif pu != w and parent[w] != u:
+                        best = min(best, du + dist[w] + 1)
             queue = nxt
     return best
 
 
 def to_networkx(g: Graph) -> "nx.Graph":
+    """The graph on its ids, nodes and edges added in ascending order."""
     h = nx.Graph()
-    h.add_nodes_from(g.vertices)
-    h.add_edges_from(g.edges)
+    h.add_nodes_from(range(g.vertex_count))
+    h.add_edges_from((u, v) for u, nb in enumerate(g.adj) for v in nb if u < v)
     return h
 
 
@@ -362,47 +384,48 @@ def is_planar(g: Graph) -> bool:
     return ok
 
 
-def _twin_classes(g: Graph) -> dict[tuple[str, str], list[str]]:
-    """Degree-2 vertices grouped by their neighbor pair, restricted to
-    pairs of degree >= 3 so chains of degree-2 vertices stay put."""
-    classes: dict[tuple[str, str], list[str]] = {}
-    for v in g.vertices:
-        nbrs = g.neighbors(v)
-        if len(nbrs) == 2 and all(len(g.neighbors(u)) >= 3 for u in nbrs):
-            classes.setdefault(tuple(sorted(nbrs)), []).append(v)
+def _twin_classes(g: Graph) -> dict[tuple[int, int], list[int]]:
+    """Degree-2 ids grouped by their neighbor pair, restricted to pairs
+    of degree >= 3 so chains of degree-2 vertices stay put."""
+    classes: dict[tuple[int, int], list[int]] = {}
+    for v, nbrs in enumerate(g.adj):
+        if len(nbrs) == 2 and all(len(g.adj[u]) >= 3 for u in nbrs):
+            classes.setdefault(nbrs, []).append(v)
     return classes
 
 
-def _twin_quotient(g: Graph, classes: dict[tuple[str, str], list[str]]) -> "nx.Graph":
+def _twin_quotient(g: Graph, classes: dict[tuple[int, int], list[int]]) -> "nx.Graph":
     collapsed = {v for cls in classes.values() for v in cls}
+    # edges go in per lower end: its host edges ascending, then its class
+    # pairs that are no host edge, in class order; the recorded fan-lift
+    # bytes were made with the matcher seeing edges in this order
+    bridged: dict[int, list[int]] = {}
+    for u, v in classes:
+        if v not in g.adj[u]:
+            bridged.setdefault(u, []).append(v)
     q = nx.Graph()
-    q.add_nodes_from(v for v in g.vertices if v not in collapsed)
-    for u, v in g.edges:
-        if u not in collapsed and v not in collapsed:
-            q.add_edge(u, v, direct=1, twins=0)
-    for (u, v), cls in classes.items():
-        if q.has_edge(u, v):
-            q[u][v]["twins"] = len(cls)
-        else:
-            q.add_edge(u, v, direct=0, twins=len(cls))
+    q.add_nodes_from(v for v in range(g.vertex_count) if v not in collapsed)
+    for u in list(q):
+        for v in g.adj[u]:
+            if u < v and v not in collapsed:
+                q.add_edge(u, v, direct=1, twins=len(classes.get((u, v), ())))
+        for v in bridged.get(u, ()):
+            q.add_edge(u, v, direct=0, twins=len(classes[(u, v)]))
     return q
 
 
 def _solve_isomorphism(g: Graph, h: Graph):
+    # matchers iterate sets of nodes: on integer ids the string hash seed
+    # cannot steer which mapping they return
     g_classes, h_classes = _twin_classes(g), _twin_classes(h)
-
-    def ids(q: "nx.Graph", x: Graph) -> "nx.Graph":
-        # matchers iterate sets of nodes: integer ids (index in ``vertices``)
-        # keep the string hash seed from steering which mapping they return
-        return nx.relabel_nodes(q, {v: i for i, v in enumerate(x.vertices)})
     if not g_classes and not h_classes:
-        found = nx.vf2pp_isomorphism(ids(to_networkx(g), g), ids(to_networkx(h), h))
+        found = nx.vf2pp_isomorphism(to_networkx(g), to_networkx(h))
     else:
         # banks of parallel length-2 paths are interchangeable, which makes
         # plain VF2 thrash; match the quotient and extend over each class
         matcher = nx.isomorphism.GraphMatcher(
-            ids(_twin_quotient(g, g_classes), g),
-            ids(_twin_quotient(h, h_classes), h),
+            _twin_quotient(g, g_classes),
+            _twin_quotient(h, h_classes),
             edge_match=nx.isomorphism.categorical_edge_match(
                 ["direct", "twins"], [1, 0]
             ),
@@ -410,12 +433,10 @@ def _solve_isomorphism(g: Graph, h: Graph):
         found = matcher.mapping if matcher.is_isomorphic() else None
     if found is None:
         return None
-    mapping = {g.vertices[a]: h.vertices[b] for a, b in found.items()}
     for (u, v), cls in g_classes.items():
-        image = tuple(sorted((mapping[u], mapping[v])))
-        for a, b in zip(sorted(cls), sorted(h_classes[image])):
-            mapping[a] = b
-    return mapping
+        image = tuple(sorted((found[u], found[v])))
+        found.update(zip(cls, h_classes[image]))
+    return {g.vertices[a]: h.vertices[b] for a, b in found.items()}
 
 
 def is_isomorphic(g: Graph, h: Graph):
@@ -439,29 +460,20 @@ def is_isomorphic(g: Graph, h: Graph):
     return mapping
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Blocks (maximal 2-connected subgraphs, bridges included) and cut vertices."""
-
-    blocks: tuple[Graph, ...]
-    cut_vertices: frozenset[str]
-
-
-def block_decomposition(g: Graph) -> BlockDecomposition:
+def block_decomposition(g: Graph) -> tuple[Graph, ...]:
+    """Blocks (maximal 2-connected subgraphs, bridges included), sorted."""
     if not g.is_connected():
         raise GraphError("block decomposition needs a connected graph")
-    h = to_networkx(g)
     blocks = []
-    for edge_set in nx.biconnected_component_edges(h):
-        edges = [tuple(sorted(e)) for e in edge_set]
-        verts = {v for e in edges for v in e}
-        blocks.append(Graph(verts, edges))
+    for edge_set in nx.biconnected_component_edges(to_networkx(g)):
+        edges = [(g.vertices[u], g.vertices[v]) for u, v in edge_set]
+        blocks.append(Graph({v for e in edges for v in e}, edges))
     blocks.sort(key=lambda b: (b.vertices, b.edges))
     # every edge lands in exactly one block
     counted = sum(b.edge_count for b in blocks)
     if counted != g.edge_count:
         raise GraphError("block decomposition lost or duplicated edges")
-    return BlockDecomposition(tuple(blocks), frozenset(nx.articulation_points(h)))
+    return tuple(blocks)
 
 
 # ============================================================
@@ -490,22 +502,23 @@ def validate_minor_witness(host: Graph, pattern: Graph, witness: MinorWitness) -
     sets = witness.branch_sets
     if sorted(sets) != list(pattern.vertices):
         raise GraphError("branch sets must be keyed by exactly the pattern vertices")
-    used = set()
+    ids: dict[str, set[int]] = {}
+    used: set[int] = set()
     for pv, bs in sets.items():
         if not bs:
             raise GraphError(f"branch set for {pv!r} is empty")
-        extra = set(bs) - set(host.vertices)
+        extra = set(bs) - host.index.keys()
         if extra:
             raise GraphError(f"branch set for {pv!r} uses unknown vertices {sorted(extra)!r}")
-        if used & set(bs):
+        ids[pv] = {host.index[v] for v in bs}
+        if used & ids[pv]:
             raise GraphError("branch sets are not pairwise disjoint")
-        used |= set(bs)
-        if not host.induced(bs).is_connected():
+        used |= ids[pv]
+        if not _connected(host.adj, ids[pv]):
             raise GraphError(f"branch set for {pv!r} is not connected in the host")
-    hedges = set(host.edges)
     for pu, pv in pattern.edges:
-        a, b = sets[pu], sets[pv]
-        if not any(((x, y) if x <= y else (y, x)) in hedges for x in a for y in b):
+        b = ids[pv]
+        if not any(w in b for x in ids[pu] for w in host.adj[x]):
             raise GraphError(f"no host edge realizes pattern edge ({pu!r}, {pv!r})")
 
 
@@ -597,11 +610,12 @@ def _symmetry_constraints(pattern: Graph, order: list) -> list[set]:
     """
     g = to_networkx(pattern)
     h = g.copy()
+    order = [pattern.index[v] for v in order]
     cons: list[set] = [set() for _ in order]
     for ell, v in enumerate(order):
         for j in range(ell + 1, len(order)):
             w = order[j]
-            if pattern.degree(w) != pattern.degree(v):
+            if len(pattern.adj[w]) != len(pattern.adj[v]):
                 continue
             g.nodes[v]["pin"] = h.nodes[w]["pin"] = -1
             if nx.vf2pp_isomorphism(g, h, node_label="pin") is not None:
@@ -626,14 +640,14 @@ def find_minor(host: Graph, pattern: Graph, budget: int = 10**7) -> MinorSearchR
     """
     if budget <= 0:
         raise GraphError("budget must be positive")
+    if not pattern.vertices:
+        return MinorSearchResult(MinorWitness({}), False, 0)
     if pattern.vertex_count > host.vertex_count:
         return MinorSearchResult(None, True, 0)
 
-    # host vertices are ids by position in host.vertices (sorted labels)
-    # from kernelization to the lifted witness
-    id_of = {v: i for i, v in enumerate(host.vertices)}
-    adj = {i: {id_of[w] for w in host.neighbors(v)} for i, v in enumerate(host.vertices)}
-    paths = _kernelize(adj) if pattern.min_degree() >= 3 and pattern.edge_count else {}
+    # host ids from kernelization to the lifted witness
+    adj = {v: set(nb) for v, nb in enumerate(host.adj)}
+    paths = _kernelize(adj) if min(map(len, pattern.adj)) >= 3 and pattern.edge_count else {}
     nk = len(adj)
     if pattern.vertex_count > nk or 2 * pattern.edge_count > sum(map(len, adj.values())):
         return MinorSearchResult(None, True, 0)

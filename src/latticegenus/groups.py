@@ -114,7 +114,7 @@ def _prime_power_split(m: int) -> list[tuple[int, int]]:
                 k += 1
             out.append((d, k))
             stop = min(math.isqrt(n), _TRIAL_BOUND)
-        d += 1
+        d += 1 if d == 2 else 2
     # a cofactor with no divisor up to d - 1 is prime only below d * d
     if d * d <= n:
         raise GroupError(f"cannot factor {m}: no divisor found up to {_TRIAL_BOUND}")

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .formulas import GenusEstimate, euler_lower_bound_int
+from .formulas import GenusEstimate, block_additive_genus, euler_lower_bound_int
 from .graphs import Graph, block_decomposition, girth, is_planar
 from .embeddings import (
     EmbeddingCertificate,
@@ -90,10 +90,7 @@ class SearchOutcome:
 
 def rotation_count(g: Graph) -> int:
     """Number of rotation systems up to per-vertex cyclic shifts."""
-    total = 1
-    for v in g.vertices:
-        total *= math.factorial(max(0, g.degree(v) - 1))
-    return total
+    return math.prod(math.factorial(max(0, len(nb) - 1)) for nb in g.adj)
 
 
 def _face_target(g: Graph, target_genus: int) -> int:
@@ -140,12 +137,12 @@ def _search_heuristic(
     # budget would overspend it
     restarts = min(cfg.restarts, cfg.budget)
     slice_budget = cfg.budget // restarts
-    movable = [v for v, nb in enumerate(darts.nbrs) if len(nb) >= 3]
+    movable = [v for v, nb in enumerate(g.adj) if len(nb) >= 3]
     evaluations = 0
 
     for restart in range(restarts):
         rng = random.Random(cfg.seed * 1_000_003 + restart)
-        rotation = [list(nb) for nb in darts.nbrs]
+        rotation = [list(nb) for nb in g.adj]
         for rot in rotation:
             rng.shuffle(rot)
         nxt = darts.next_array(rotation)
@@ -279,16 +276,16 @@ def _search_exhaustive(g: Graph, cfg: SearchConfig) -> SearchOutcome:
         )
     darts = _Darts(g)
     f_target = _face_target(g, cfg.target_genus)
-    nv = len(darts.vertices)
+    nv = g.vertex_count
 
     # assign rotations along a BFS order from the highest-degree vertex
     # so partial faces close early and the prune bites
-    start = max(range(nv), key=lambda v: (len(darts.nbrs[v]), -v))
+    start = max(range(nv), key=lambda v: (len(g.adj[v]), -v))
     order = [start]
     seen_v = {start}
     qi = 0
     while qi < len(order):
-        for u in darts.nbrs[order[qi]]:
+        for u in g.adj[order[qi]]:
             if u not in seen_v:
                 seen_v.add(u)
                 order.append(u)
@@ -310,7 +307,7 @@ def _search_exhaustive(g: Graph, cfg: SearchConfig) -> SearchOutcome:
             found.append(_certificate_from(g, darts, rotation, cfg.target_genus))
             return True
         v = order[pos]
-        nb = darts.nbrs[v]
+        nb = g.adj[v]
         first, rest = nb[0], nb[1:]
         for perm in itertools.permutations(rest):
             rot = [first, *perm]
@@ -382,14 +379,9 @@ def _exact_genus_block(g: Graph, budget: int, seed: int) -> GenusEstimate:
     if is_planar(g):
         return GenusEstimate.exactly(0, ["planarity"])
 
-    decomp = block_decomposition(g)
-    if len(decomp.blocks) > 1:
-        per = {
-            block: _exact_genus_block(block, budget, seed)
-            for block in decomp.blocks
-        }
-        from .formulas import block_additive_genus
-
+    blocks = block_decomposition(g)
+    if len(blocks) > 1:
+        per = {block: _exact_genus_block(block, budget, seed) for block in blocks}
         return block_additive_genus(g, per)
 
     if girth(g) >= 4:

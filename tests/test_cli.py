@@ -479,13 +479,15 @@ def test_orders_past_trial_division_are_input_errors(capsys, argv):
     assert "Traceback" not in err
 
 
-def test_fan_lift_bytes_do_not_depend_on_the_hash_seed(tmp_path, capsys):
+def _stdout_under_hash_seeds(*argv):
+    """The CLI's stdout for argv in fresh interpreters under
+    PYTHONHASHSEED 1 and 2."""
     src = os.path.dirname(os.path.dirname(latticegenus.__file__))
     outs = []
     for seed in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
         proc = subprocess.run(
-            [sys.executable, "-m", "latticegenus.cli", "make-cert", "fan-lift", "5"],
+            [sys.executable, "-m", "latticegenus.cli", *argv],
             capture_output=True,
             text=True,
             env=env,
@@ -493,12 +495,33 @@ def test_fan_lift_bytes_do_not_depend_on_the_hash_seed(tmp_path, capsys):
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
+    return outs
+
+
+def test_fan_lift_bytes_do_not_depend_on_the_hash_seed(tmp_path, capsys):
+    outs = _stdout_under_hash_seeds("make-cert", "fan-lift", "5")
     assert outs[0] == outs[1]
     cert_path = tmp_path / "lift.json"
     cert_path.write_text(outs[0])
     code, out, _ = run(capsys, "verify", str(cert_path))
     assert code == 0
     assert "genus 1 (39 faces)" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("minor", "Z16xZ4", "bowtie", "--json"),
+        ("search", "Z4xZ4", "--genus", "1", "--json"),
+        ("search", "Z2xZ2xZ3", "--genus", "1", "--mode", "exhaustive", "--json"),
+        ("group", "Z4xZ2", "--dot"),
+    ],
+)
+def test_stdout_does_not_depend_on_the_hash_seed(argv):
+    # every engine reads Graph's integer numbering, so no set of labels
+    # can order a search, a matcher or a face walk
+    outs = _stdout_under_hash_seeds(*argv)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("argv", [["crosscheck", "--budget", "0"],

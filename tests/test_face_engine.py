@@ -144,8 +144,8 @@ def _check_swaps(g, rng, moves):
     random; after every swap and every revert the next array and the
     incremental face count must equal a full rebuild and recount."""
     darts = _Darts(g)
-    movable = [v for v, nb in enumerate(darts.nbrs) if len(nb) >= 3]
-    rotation = [list(nb) for nb in darts.nbrs]
+    movable = [v for v, nb in enumerate(g.adj) if len(nb) >= 3]
+    rotation = [list(nb) for nb in g.adj]
     for rot in rotation:
         rng.shuffle(rot)
     nxt = darts.next_array(rotation)

@@ -225,7 +225,7 @@ def _chain_of_k33(copies: int) -> Graph:
 def test_block_additive_genus_bowtie_and_chain():
     for copies, total in [(2, 2), (4, 4)]:
         g = _chain_of_k33(copies)
-        blocks = block_decomposition(g).blocks
+        blocks = block_decomposition(g)
         assert len(blocks) == copies
         per = {b: GenusEstimate.exactly(1, ["k33"]) for b in blocks}
         est = block_additive_genus(g, per)
@@ -234,14 +234,14 @@ def test_block_additive_genus_bowtie_and_chain():
 
 def test_block_additive_genus_tree_is_zero():
     g = Graph({"a", "b", "c"}, [("a", "b"), ("b", "c")])
-    per = {b: GenusEstimate.exactly(0, ["bridge"]) for b in block_decomposition(g).blocks}
+    per = {b: GenusEstimate.exactly(0, ["bridge"]) for b in block_decomposition(g)}
     est = block_additive_genus(g, per)
     assert est.exact and est.lower == 0
 
 
 def test_block_additive_genus_missing_block():
     g = _chain_of_k33(2)
-    blocks = block_decomposition(g).blocks
+    blocks = block_decomposition(g)
     with pytest.raises(FormulaError):
         block_additive_genus(g, {blocks[0]: GenusEstimate.exactly(1, ["k33"])})
 

@@ -1,7 +1,10 @@
 """Graph type, constructors, and structural helpers."""
 
+import itertools
 import json
+import random
 
+import networkx as nx
 import pytest
 
 from latticegenus import (
@@ -38,6 +41,18 @@ def test_graph_normalizes_and_validates():
     assert g.has_edge("b", "a")
     assert not g.has_edge("b", "c")
     assert g.neighbors("a") == ("b", "c")
+
+
+def test_graph_numbers_vertices_by_sorted_label():
+    g = Graph(["c", "a", "d", "b"], [("d", "a"), ("c", "a"), ("b", "c")])
+    assert g.index == {"a": 0, "b": 1, "c": 2, "d": 3}
+    assert g.adj == ((2, 3), (2,), (0, 1), (0,))
+    assert [g.degree(v) for v in g.vertices] == [2, 1, 2, 1]
+    # labels from outside the graph are a plain "no", not an error
+    assert not g.has_edge("a", "zz") and not g.has_edge("zz", "a")
+    with pytest.raises(GraphError):
+        g.neighbors("zz")
+    assert Graph([], []).is_connected()
     assert g.degree("a") == 2
 
 
@@ -98,7 +113,7 @@ def test_double_k33_pattern_shape():
     degrees = sorted(bowtie.degree(v) for v in bowtie.vertices)
     # shared hub of two K33 copies has degree 6
     assert degrees == [3] * 10 + [6]
-    blocks = block_decomposition(bowtie).blocks
+    blocks = block_decomposition(bowtie)
     assert len(blocks) == 2
     assert all(is_isomorphic(b, complete_bipartite(3, 3)) for b in blocks)
 
@@ -150,12 +165,66 @@ def test_lattices_are_bipartite_girth_four():
         assert girth(lattice) == 4
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_girth_matches_networkx(seed):
+    rng = random.Random(seed)
+    h = nx.gnp_random_graph(rng.randint(1, 14), rng.uniform(0.05, 0.5), seed=seed)
+    g = Graph([str(v) for v in h], [(str(u), str(v)) for u, v in h.edges])
+    assert girth(g) == nx.girth(h)
+
+
+def _partitions(k, most=None):
+    most = k if most is None else most
+    if k == 0:
+        yield ()
+    for first in range(min(k, most), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first, *rest)
+
+
+def _abelian_groups(max_order):
+    """One expression per isomorphism class of abelian group of order
+    2..max_order: a partition of each prime's exponent."""
+    for n in range(2, max_order + 1):
+        choices, m = [], n
+        for p in range(2, n + 1):
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            if e:
+                choices.append(["x".join(f"Z{p**k}" for k in part) for part in _partitions(e)])
+        for combo in itertools.product(*choices):
+            yield "x".join(combo)
+
+
+def _big_omega(n):
+    count, p = 0, 2
+    while n > 1:
+        while n % p == 0:
+            n //= p
+            count += 1
+        p += 1
+    return count
+
+
+def test_omega_parity_two_colors_every_small_lattice():
+    # a cover has prime index, so it changes Omega(|H|) by exactly 1: this
+    # is why the Euler bound needs no girth check on lattices
+    groups = list(_abelian_groups(64))
+    assert len(groups) == 116
+    for text in groups:
+        lattice = lattice_for(text)
+        color = {v: _big_omega(int(v[1:v.index("#")])) % 2 for v in lattice.vertices}
+        assert all(color[u] != color[v] for u, v in lattice.edges), text
+
+
 def test_block_decomposition_splits_at_cut_vertices():
     g = Graph(
         {"a", "b", "c", "d", "e"},
         [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("d", "e"), ("c", "e")],
     )
-    blocks = block_decomposition(g).blocks
+    blocks = block_decomposition(g)
     assert len(blocks) == 2
     assert sorted(b.vertex_count for b in blocks) == [3, 3]
 
@@ -207,6 +276,15 @@ def test_witness_validation_rejects_corruptions(branch_sets):
     pattern = cycle_graph(4, prefix="Q")
     witness = MinorWitness({k: frozenset(v) for k, v in branch_sets.items()})
     with pytest.raises(GraphError):
+        validate_minor_witness(host, pattern, witness)
+
+
+def test_witness_validation_rejects_a_disconnected_branch_set():
+    # every pattern edge is realized, so only the connectivity check can fail
+    host = cycle_graph(6, prefix="C")
+    pattern = Graph(["a", "b"], [("a", "b")])
+    witness = MinorWitness({"a": frozenset({"C0", "C2"}), "b": frozenset({"C1"})})
+    with pytest.raises(GraphError, match="not connected"):
         validate_minor_witness(host, pattern, witness)
 
 

@@ -24,6 +24,7 @@ from latticegenus import (
     lattice_for,
     parse_group_spec,
 )
+from latticegenus.groups import _prime_power_split
 
 
 # ------------------------------------------------------------- oracles
@@ -162,6 +163,40 @@ def test_every_subgroup_is_closed_and_listed_once(text):
 
 
 # ------------------------------------------------------------- parsing
+
+
+def _factor_by_every_divisor(n):
+    out, d = [], 2
+    while n > 1:
+        k = 0
+        while n % d == 0:
+            n //= d
+            k += 1
+        if k:
+            out.append((d, k))
+        d += 1
+    return out
+
+
+def _is_prime_by_every_divisor(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_prime_power_split_equals_brute_force():
+    for n in range(2, 5001):
+        assert _prime_power_split(n) == _factor_by_every_divisor(n), n
+    near = [999953, 999959, 999983, 1000003, 1000033, 1000039]
+    assert all(_is_prime_by_every_divisor(p) for p in near)
+    for p, q in itertools.combinations_with_replacement(near, 2):
+        want = [(p, 2)] if p == q else [(p, 1), (q, 1)]
+        assert _prime_power_split(p * q) == want
+
+
+def test_prime_power_split_gives_up_past_the_trial_bound():
+    # 1999993 is the last prime below the bound, 2000003 the first above
+    assert _prime_power_split(1999993 * 2000003) == [(1999993, 1), (2000003, 1)]
+    with pytest.raises(GroupError, match="no divisor found up to 2000000"):
+        _prime_power_split(2000003**2)
 
 
 def test_parse_canonicalizes_composite_factors():

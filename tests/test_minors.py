@@ -21,6 +21,7 @@ import pytest
 from latticegenus import (
     Graph,
     GraphError,
+    MinorSearchResult,
     MinorWitness,
     complete_bipartite,
     cycle_graph,
@@ -30,7 +31,7 @@ from latticegenus import (
     lattice_for,
     validate_minor_witness,
 )
-from latticegenus.graphs import _pattern_order, _symmetry_constraints, to_networkx
+from latticegenus.graphs import _pattern_order, _symmetry_constraints
 
 BOWTIE_HOSTS = ["Z16xZ4", "Z8xZ8", "Z8xZ2xZ3", "Z9xZ3xZ2", "Z2xZ2xZ9"]
 PINS_PATH = Path(__file__).parent / "minor_pins.json"
@@ -162,6 +163,14 @@ def test_budget_must_be_positive():
         find_minor(g, g, budget=0)
 
 
+def test_empty_pattern_is_a_minor_of_every_host():
+    empty = Graph([], [])
+    for host in (lattice_for("Z4"), empty):
+        result = find_minor(host, empty)
+        assert result == MinorSearchResult(MinorWitness({}), False, 0)
+        validate_minor_witness(host, empty, result.witness)
+
+
 def test_oversized_pattern_is_dismissed_without_search():
     result = find_minor(cycle_graph(4, prefix="C"), complete_bipartite(3, 3))
     assert result.witness is None
@@ -273,12 +282,15 @@ def reference_constraints(pattern: Graph, order: list) -> list[set]:
     """The enumeration ``find_minor`` used before the stabilizer chain:
     list every automorphism and record its first moved level at the
     position of that level's image.  The loop is kept verbatim,
-    including its cap on the number of automorphisms."""
+    including its cap on the number of automorphisms; only the networkx
+    graph is built here, on labels."""
     pos = {v: i for i, v in enumerate(order)}
     npat = len(order)
     cons: list[set] = [set() for _ in range(npat)]
     auto_count = 0
-    for sigma in nx.vf2pp_all_isomorphisms(to_networkx(pattern), to_networkx(pattern)):
+    h = nx.Graph(pattern.edges)
+    h.add_nodes_from(pattern.vertices)
+    for sigma in nx.vf2pp_all_isomorphisms(h, h):
         auto_count += 1
         for ell in range(npat):
             img = sigma[order[ell]]
