@@ -194,19 +194,17 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.certificate == "-":
-        raw = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.certificate == "-":
+            raw = sys.stdin.read()
+        else:
             with open(args.certificate, "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-    try:
-        data = json.loads(raw)
-        cert = EmbeddingCertificate.from_json_dict(data)
-    except (json.JSONDecodeError, CertificateError, GraphError) as exc:
+        cert = EmbeddingCertificate.from_json_dict(json.loads(raw))
+    # undecodable bytes, bad JSON, an integer past the digit limit and
+    # CertificateError/GraphError are all ValueErrors; JSON nested past
+    # the recursion limit raises RecursionError
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:

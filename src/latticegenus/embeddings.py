@@ -10,8 +10,9 @@ holds the face-tracing engine that turns rotation systems into faces
 count after one swap in one rotation by tracing only the faces the swap
 touches), constructs the three parameterized certificate families used
 for lattice genus upper bounds, and performs the edge-to-fan surgery
-that turns a gadget embedding into a subgroup lattice embedding (the
-fan lift of the Z_{p^2} x Z_{p^2} lattice).
+that turns a gadget embedding into a subgroup lattice embedding: the
+fan lift of the Z_{p^2} x Z_{p^2} lattice, whose vertices are labeled
+onto the lattice by construction, not found by an isomorphism search.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import Graph, GraphError, gn_graph, hn_graph, is_isomorphic, zppq_graph
-from .groups import _is_prime, lattice_for
+from .groups import GroupSpec, _is_prime, build_lattice, enumerate_subgroups
 
 
 class CertificateError(ValueError):
@@ -525,9 +526,17 @@ def lift_certificate_to_lattice(
 
 
 def fan_lift_certificate(p: int) -> EmbeddingCertificate:
-    """Embedding certificate for the lattice of the square of a cyclic
-    group of order p**2, built by fanning every rim edge of the gadget
-    embedding and relabeling onto the real lattice."""
+    """Embedding certificate for the lattice of G = Z_{p^2} x Z_{p^2},
+    for a prime p with p+1 = 2 mod 4: the gadget G_{p+1} with every rim
+    edge alpha_i-beta_i fanned into p paths of length 2, labeled onto the
+    lattice by construction.
+
+    The correspondence: a = 0, b = pG, c = G; alpha_i is the i-th line L
+    of pG (the subgroups of order p, in label order), beta_i the order-p^3
+    subgroup M with pM = L, and the fan of alpha_i the p cyclic subgroups
+    C of order p^2 with pC = L, in label order.  Every order-p^3 subgroup
+    contains pG, so C + pG is the one M above C, and pM = pC = L.
+    """
     if not _is_prime(p) or (p + 1) % 4 != 2:
         raise CertificateError(
             "bad-parameter", f"fan lift needs a prime p with p+1 = 2 mod 4, got {p}"
@@ -538,5 +547,26 @@ def fan_lift_certificate(p: int) -> EmbeddingCertificate:
     for i in range(1, n + 1):
         labels = [f"fan{i}_{j}" for j in range(1, p + 1)]
         g, cert = fan_expansion(g, cert, (f"alpha_{i}", f"beta_{i}"), p, labels)
-    lattice = lattice_for(f"Z{p * p}xZ{p * p}", order_cap=None)
-    return lift_certificate_to_lattice(cert, lattice)
+
+    subs = enumerate_subgroups(GroupSpec(((p, 2), (p, 2))), order_cap=None)
+    names = subs.labels()
+    q = p * p
+    # labels keyed by (|H|, pH), each list in label order
+    by_key: dict[tuple[int, frozenset], list[str]] = {}
+    for name, sub in zip(names, subs.subgroups):
+        ph = frozenset((p * x % q, p * y % q) for x, y in sub.elements)
+        by_key.setdefault((sub.order, ph), []).append(name)
+    # pG is the one subgroup of order p^2 that p kills
+    [b] = by_key[(q, frozenset({(0, 0)}))]
+    rename = {"a": names[0], "b": b, "c": names[-1]}
+    lines = [(name, sub.elements) for name, sub in zip(names, subs.subgroups)
+             if sub.order == p]
+    for i, (line, elems) in enumerate(lines, 1):
+        rename[f"alpha_{i}"] = line
+        [rename[f"beta_{i}"]] = by_key[(q * p, elems)]
+        for j, cyclic in enumerate(by_key[(q, elems)], 1):
+            rename[f"fan{i}_{j}"] = cyclic
+    faces = [tuple(rename[x] for x in walk) for walk in cert.faces]
+    return _verified_family(
+        build_lattice(subs), faces, 5 * n // 2 + n * (p - 1), (n - 2) // 4
+    )

@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .embeddings import InvariantError
-from .graphs import Graph, block_decomposition
 from .groups import GroupSpec, _is_prime
 
 
@@ -215,10 +214,8 @@ def genus_complete_bipartite(m: int, n: int) -> int:
     return math.ceil(Fraction((m - 2) * (n - 2), 4))
 
 
-def block_additive_genus(
-    g: Graph, per_block_genus: Mapping[Graph, GenusEstimate]
-) -> GenusEstimate:
-    """Sum per-block genus estimates over the blocks of g.
+def block_additive_genus(per_block: Iterable[GenusEstimate]) -> GenusEstimate:
+    """Sum the genus estimates of a graph's blocks, given in block order.
 
     Genus adds over biconnected components, so lower and upper bounds
     add componentwise and the sum is exact when every block is.
@@ -227,13 +224,7 @@ def block_additive_genus(
     upper: int | None = 0
     exact = True
     prov: list[str] = ["block-additivity"]
-    for block in block_decomposition(g):
-        if block not in per_block_genus:
-            raise FormulaError(
-                f"missing genus estimate for block with vertices "
-                f"{sorted(block.vertices)}"
-            )
-        est = per_block_genus[block]
+    for est in per_block:
         lower += est.lower
         if upper is not None:
             upper = None if est.upper is None else upper + est.upper

@@ -384,61 +384,6 @@ def is_planar(g: Graph) -> bool:
     return ok
 
 
-def _twin_classes(g: Graph) -> dict[tuple[int, int], list[int]]:
-    """Degree-2 ids grouped by their neighbor pair, restricted to pairs
-    of degree >= 3 so chains of degree-2 vertices stay put."""
-    classes: dict[tuple[int, int], list[int]] = {}
-    for v, nbrs in enumerate(g.adj):
-        if len(nbrs) == 2 and all(len(g.adj[u]) >= 3 for u in nbrs):
-            classes.setdefault(nbrs, []).append(v)
-    return classes
-
-
-def _twin_quotient(g: Graph, classes: dict[tuple[int, int], list[int]]) -> "nx.Graph":
-    collapsed = {v for cls in classes.values() for v in cls}
-    # edges go in per lower end: its host edges ascending, then its class
-    # pairs that are no host edge, in class order; the recorded fan-lift
-    # bytes were made with the matcher seeing edges in this order
-    bridged: dict[int, list[int]] = {}
-    for u, v in classes:
-        if v not in g.adj[u]:
-            bridged.setdefault(u, []).append(v)
-    q = nx.Graph()
-    q.add_nodes_from(v for v in range(g.vertex_count) if v not in collapsed)
-    for u in list(q):
-        for v in g.adj[u]:
-            if u < v and v not in collapsed:
-                q.add_edge(u, v, direct=1, twins=len(classes.get((u, v), ())))
-        for v in bridged.get(u, ()):
-            q.add_edge(u, v, direct=0, twins=len(classes[(u, v)]))
-    return q
-
-
-def _solve_isomorphism(g: Graph, h: Graph):
-    # matchers iterate sets of nodes: on integer ids the string hash seed
-    # cannot steer which mapping they return
-    g_classes, h_classes = _twin_classes(g), _twin_classes(h)
-    if not g_classes and not h_classes:
-        found = nx.vf2pp_isomorphism(to_networkx(g), to_networkx(h))
-    else:
-        # banks of parallel length-2 paths are interchangeable, which makes
-        # plain VF2 thrash; match the quotient and extend over each class
-        matcher = nx.isomorphism.GraphMatcher(
-            _twin_quotient(g, g_classes),
-            _twin_quotient(h, h_classes),
-            edge_match=nx.isomorphism.categorical_edge_match(
-                ["direct", "twins"], [1, 0]
-            ),
-        )
-        found = matcher.mapping if matcher.is_isomorphic() else None
-    if found is None:
-        return None
-    for (u, v), cls in g_classes.items():
-        image = tuple(sorted((found[u], found[v])))
-        found.update(zip(cls, h_classes[image]))
-    return {g.vertices[a]: h.vertices[b] for a, b in found.items()}
-
-
 def is_isomorphic(g: Graph, h: Graph):
     """Vertex bijection g -> h when isomorphic, else None.
 
@@ -447,9 +392,12 @@ def is_isomorphic(g: Graph, h: Graph):
     """
     if g.vertex_count != h.vertex_count or g.edge_count != h.edge_count:
         return None
-    mapping = _solve_isomorphism(g, h)
-    if mapping is None:
+    # matched on integer ids, so the string hash seed cannot steer which
+    # mapping VF2++ returns
+    found = nx.vf2pp_isomorphism(to_networkx(g), to_networkx(h))
+    if found is None:
         return None
+    mapping = {g.vertices[a]: h.vertices[b] for a, b in found.items()}
     if sorted(mapping) != list(g.vertices) or sorted(mapping.values()) != list(h.vertices):
         raise GraphError("isomorphism solver returned a non-bijection")
     hedges = set(h.edges)

@@ -31,7 +31,31 @@ class GroupError(ValueError):
 
 
 def _is_prime(n: int) -> bool:
-    return n >= 2 and _prime_power_split(n) == [(n, 1)]
+    """Primality, exact wherever ``_prime_power_split`` can certify.
+
+    Up to _TRIAL_BOUND**2 this is Miller-Rabin with the prime bases up to
+    37, which has no strong pseudoprime below 3.3e24; above it, n must
+    split, and a cofactor the split cannot certify raises GroupError.
+    """
+    if n > _TRIAL_BOUND**2:
+        return _prime_power_split(n) == [(n, 1)]
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or n in bases:
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -381,8 +381,9 @@ def _exact_genus_block(g: Graph, budget: int, seed: int) -> GenusEstimate:
 
     blocks = block_decomposition(g)
     if len(blocks) > 1:
-        per = {block: _exact_genus_block(block, budget, seed) for block in blocks}
-        return block_additive_genus(g, per)
+        return block_additive_genus(
+            [_exact_genus_block(block, budget, seed) for block in blocks]
+        )
 
     if girth(g) >= 4:
         lower = max(1, euler_lower_bound_int(g.vertex_count, g.edge_count))

@@ -11,7 +11,7 @@ import textwrap
 import pytest
 
 import latticegenus
-from latticegenus import GenusEstimate, VerifiedGenus
+from latticegenus import GenusEstimate, VerifiedGenus, family_genus
 from latticegenus.cli import build_parser, main
 
 
@@ -165,6 +165,20 @@ def test_verify_malformed_json_is_an_input_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [b"\xff\xfe", b"[" * 100000, b"1" * 5000],
+    ids=["not-utf8", "nested-past-recursion-limit", "int-past-digit-limit"],
+)
+def test_verify_unreadable_input_is_an_input_error(tmp_path, capsys, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(payload)
+    code, out, err = run(capsys, "verify", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_make_cert_rejects_bad_parameters(capsys):
     code, _, err = run(capsys, "make-cert", "gn", "4")
     assert code == 2
@@ -193,6 +207,19 @@ def test_fan_lift_at_thirteen_verifies(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(cert_path))
     assert code == 0
     assert "genus 3 (203 faces)" in out
+
+
+def test_fan_lift_at_seventeen_meets_the_family_formula(tmp_path, capsys):
+    # lifts onto the Z289xZ289 lattice, 333 subgroups
+    code, out, _ = run(capsys, "make-cert", "fan-lift", "17")
+    assert code == 0
+    cert_path = tmp_path / "lift.json"
+    cert_path.write_text(out)
+    code, out, _ = run(capsys, "verify", str(cert_path), "--json")
+    assert code == 0
+    assert json.loads(out) == {"faces": 333, "genus": 4}
+    formula = family_genus("Zp2xZp2", 17)
+    assert formula.exact and formula.lower == 4
 
 
 def test_search_finds_planar_grid(capsys):
@@ -499,13 +526,14 @@ def _stdout_under_hash_seeds(*argv):
 
 
 def test_fan_lift_bytes_do_not_depend_on_the_hash_seed(tmp_path, capsys):
-    outs = _stdout_under_hash_seeds("make-cert", "fan-lift", "5")
-    assert outs[0] == outs[1]
-    cert_path = tmp_path / "lift.json"
-    cert_path.write_text(outs[0])
-    code, out, _ = run(capsys, "verify", str(cert_path))
-    assert code == 0
-    assert "genus 1 (39 faces)" in out
+    for p, verdict in (("5", "genus 1 (39 faces)"), ("13", "genus 3 (203 faces)")):
+        outs = _stdout_under_hash_seeds("make-cert", "fan-lift", p)
+        assert outs[0] == outs[1], p
+        cert_path = tmp_path / f"lift{p}.json"
+        cert_path.write_text(outs[0])
+        code, out, _ = run(capsys, "verify", str(cert_path))
+        assert code == 0
+        assert verdict in out
 
 
 @pytest.mark.parametrize(

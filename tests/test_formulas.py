@@ -227,23 +227,16 @@ def test_block_additive_genus_bowtie_and_chain():
         g = _chain_of_k33(copies)
         blocks = block_decomposition(g)
         assert len(blocks) == copies
-        per = {b: GenusEstimate.exactly(1, ["k33"]) for b in blocks}
-        est = block_additive_genus(g, per)
+        est = block_additive_genus(GenusEstimate.exactly(1, ["k33"]) for _ in blocks)
         assert est.exact and est.lower == total
 
 
 def test_block_additive_genus_tree_is_zero():
     g = Graph({"a", "b", "c"}, [("a", "b"), ("b", "c")])
-    per = {b: GenusEstimate.exactly(0, ["bridge"]) for b in block_decomposition(g)}
-    est = block_additive_genus(g, per)
+    est = block_additive_genus(
+        GenusEstimate.exactly(0, ["bridge"]) for _ in block_decomposition(g)
+    )
     assert est.exact and est.lower == 0
-
-
-def test_block_additive_genus_missing_block():
-    g = _chain_of_k33(2)
-    blocks = block_decomposition(g)
-    with pytest.raises(FormulaError):
-        block_additive_genus(g, {blocks[0]: GenusEstimate.exactly(1, ["k33"])})
 
 
 # -------------------------------------------------------- classification

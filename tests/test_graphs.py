@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -236,6 +237,50 @@ def test_planarity_and_isomorphism():
     assert is_isomorphic(cycle_graph(4), path_graph(3)) is None
     mapping = is_isomorphic(cycle_graph(3), cycle_graph(3))
     assert mapping is not None and set(mapping) == set(cycle_graph(3).vertices)
+
+
+def _fanned_gadget(p):
+    """G_{p+1} with each rim edge alpha_i-beta_i replaced by p paths of
+    length 2, written here from the gadget's edge list."""
+    g = gn_graph(p + 1)
+    rim = {(f"alpha_{i}", f"beta_{i}") for i in range(1, p + 2)}
+    edges = [e for e in g.edges if e not in rim and e[::-1] not in rim]
+    fans = []
+    for i in range(1, p + 2):
+        for j in range(1, p + 1):
+            w = f"fan{i}_{j}"
+            fans.append(w)
+            edges += [(f"alpha_{i}", w), (w, f"beta_{i}")]
+    return Graph(set(g.vertices) | set(fans), edges)
+
+
+def _relabeled(g, seed):
+    labels = list(g.vertices)
+    random.Random(seed).shuffle(labels)
+    new = {v: f"x{i}" for i, v in enumerate(labels)}
+    return Graph(set(new.values()), [(new[u], new[v]) for u, v in g.edges])
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        lambda: (_fanned_gadget(5), lattice_for("Z25xZ25")),
+        lambda: (_fanned_gadget(13), lattice_for("Z169xZ169", order_cap=None)),
+        lambda: (complete_bipartite(2, 60), _relabeled(complete_bipartite(2, 60), 1)),
+        lambda: (lattice_for("Z31xZ31"), _relabeled(lattice_for("Z31xZ31"), 2)),
+    ],
+    ids=["fan-gadget-25", "fan-gadget-169", "k2-60", "z31xz31"],
+)
+def test_isomorphism_on_banks_of_twins_is_fast(pair):
+    # many degree-2 vertices share both neighbors: interchangeable twins
+    # a backtracking matcher must not thrash over
+    g, h = pair()
+    start = time.perf_counter()
+    mapping = is_isomorphic(g, h)
+    assert time.perf_counter() - start < 1.0
+    assert mapping is not None
+    assert sorted(mapping.values()) == list(h.vertices)
+    assert all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges)
 
 
 # ---------------------------------------------------------- minor tools

@@ -24,7 +24,7 @@ from latticegenus import (
     lattice_for,
     parse_group_spec,
 )
-from latticegenus.groups import _prime_power_split
+from latticegenus.groups import _is_prime, _prime_power_split
 
 
 # ------------------------------------------------------------- oracles
@@ -190,6 +190,24 @@ def test_prime_power_split_equals_brute_force():
     for p, q in itertools.combinations_with_replacement(near, 2):
         want = [(p, 2)] if p == q else [(p, 1), (q, 1)]
         assert _prime_power_split(p * q) == want
+
+
+def test_is_prime_equals_a_sieve():
+    n = 10**5
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 1)
+    for d in range(2, math.isqrt(n) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytearray(len(range(d * d, n + 1, d)))
+    assert [k for k in range(n + 1) if _is_prime(k)] == [
+        k for k in range(n + 1) if sieve[k]
+    ]
+    # a Carmichael number, a strong pseudoprime to bases 2, 3, 5 and 7,
+    # and a 13-digit prime
+    assert not _is_prime(561)
+    assert not _is_prime(3215031751)
+    assert 3215031751 == 151 * 751 * 28351
+    assert _is_prime(1000000000039)
+    assert _is_prime_by_every_divisor(1000000000039)
 
 
 def test_prime_power_split_gives_up_past_the_trial_bound():
