@@ -225,16 +225,21 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------------- make-cert
 
 
+# each family's certificate builder and the vertex count of its graph
+_FAMILIES = {
+    "gn": (gn_certificate, lambda n: 2 * n + 3),
+    "hn": (hn_certificate, lambda n: 4 * n + 6),
+    "zppq": (zppq_certificate, lambda p: 2 * (p + 3)),
+    "fan-lift": (fan_lift_certificate, lambda p: p * p + 3 * p + 5),
+}
+
+
 def cmd_make_cert(args) -> int:
-    if args.family == "gn":
-        cert = gn_certificate(args.parameter)
-    elif args.family == "hn":
-        cert = hn_certificate(args.parameter)
-    elif args.family == "zppq":
-        cert = zppq_certificate(args.parameter)
-    else:
-        cert = fan_lift_certificate(args.parameter)
-    _print_doc(cert.to_json_dict())
+    build, vertex_count = _FAMILIES[args.family]
+    # refused before it is built, as grid targets are
+    if vertex_count(args.parameter) > DEFAULT_ORDER_CAP:
+        raise GraphError(f"{args.family} certificate vertex count exceeds cap {DEFAULT_ORDER_CAP}")
+    _print_doc(build(args.parameter).to_json_dict())
     return EXIT_OK
 
 
@@ -249,7 +254,6 @@ def cmd_search(args) -> int:
         mode=args.mode,
         seed=args.seed,
         budget=budget,
-        restarts=args.restarts,
     )
 
     def progress(restart: int, best_faces: int) -> None:
@@ -435,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("make-cert", help="emit a family embedding certificate")
-    p.add_argument("family", choices=("gn", "hn", "zppq", "fan-lift"))
+    p.add_argument("family", choices=tuple(_FAMILIES))
     p.add_argument("parameter", type=int, help="n for gn/hn, prime p otherwise")
     p.set_defaults(func=cmd_make_cert)
 
@@ -449,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode", choices=("heuristic", "exhaustive"), default="heuristic"
     )
-    p.add_argument("--restarts", type=int, default=16, help="heuristic restarts")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser(

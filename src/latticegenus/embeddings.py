@@ -77,16 +77,6 @@ class EmbeddingCertificate:
             self, "faces", tuple(tuple(walk) for walk in self.faces)
         )
 
-    def canonical_faces(self) -> tuple[tuple[str, ...], ...]:
-        """Faces with each walk rotated to its lexicographically least
-        phase, sorted; equal embeddings compare equal in this form."""
-        canon = []
-        for walk in self.faces:
-            n = len(walk)
-            best = min(walk[i:] + walk[:i] for i in range(n))
-            canon.append(best)
-        return tuple(sorted(canon))
-
     def to_json_dict(self) -> dict:
         return {
             "graph": self.graph.to_json_dict(),
@@ -536,18 +526,16 @@ def fan_lift_certificate(p: int) -> EmbeddingCertificate:
     subgroup M with pM = L, and the fan of alpha_i the p cyclic subgroups
     C of order p^2 with pC = L, in label order.  Every order-p^3 subgroup
     contains pG, so C + pG is the one M above C, and pM = pC = L.
+
+    The faces are fan_expansion's, written directly: alpha_i -> beta_i
+    passes the first fan vertex, beta_i -> alpha_i the last, and
+    consecutive fan paths bound p-1 quadrilaterals.
     """
     if not _is_prime(p) or (p + 1) % 4 != 2:
         raise CertificateError(
             "bad-parameter", f"fan lift needs a prime p with p+1 = 2 mod 4, got {p}"
         )
     n = p + 1
-    cert = gn_certificate(n)
-    g = cert.graph
-    for i in range(1, n + 1):
-        labels = [f"fan{i}_{j}" for j in range(1, p + 1)]
-        g, cert = fan_expansion(g, cert, (f"alpha_{i}", f"beta_{i}"), p, labels)
-
     subs = enumerate_subgroups(GroupSpec(((p, 2), (p, 2))), order_cap=None)
     names = subs.labels()
     q = p * p
@@ -559,14 +547,26 @@ def fan_lift_certificate(p: int) -> EmbeddingCertificate:
     # pG is the one subgroup of order p^2 that p kills
     [b] = by_key[(q, frozenset({(0, 0)}))]
     rename = {"a": names[0], "b": b, "c": names[-1]}
+    # the fan vertex each gadget step alpha_i -> beta_i or back passes
+    via: dict[tuple[str, str], str] = {}
+    quads: list[tuple[str, ...]] = []
     lines = [(name, sub.elements) for name, sub in zip(names, subs.subgroups)
              if sub.order == p]
     for i, (line, elems) in enumerate(lines, 1):
-        rename[f"alpha_{i}"] = line
-        [rename[f"beta_{i}"]] = by_key[(q * p, elems)]
-        for j, cyclic in enumerate(by_key[(q, elems)], 1):
-            rename[f"fan{i}_{j}"] = cyclic
-    faces = [tuple(rename[x] for x in walk) for walk in cert.faces]
+        [m] = by_key[(q * p, elems)]
+        fan = by_key[(q, elems)]
+        rename[f"alpha_{i}"], rename[f"beta_{i}"] = line, m
+        via[(f"alpha_{i}", f"beta_{i}")] = fan[0]
+        via[(f"beta_{i}", f"alpha_{i}")] = fan[-1]
+        quads += [(line, fan[j + 1], m, fan[j]) for j in range(p - 1)]
+    faces = []
+    for walk in gn_certificate(n).faces:
+        face = []
+        for x, y in zip(walk, walk[1:] + walk[:1]):
+            face.append(rename[x])
+            if (x, y) in via:
+                face.append(via[(x, y)])
+        faces.append(tuple(face))
     return _verified_family(
-        build_lattice(subs), faces, 5 * n // 2 + n * (p - 1), (n - 2) // 4
+        build_lattice(subs), faces + quads, 5 * n // 2 + n * (p - 1), (n - 2) // 4
     )

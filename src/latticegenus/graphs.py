@@ -121,13 +121,6 @@ class Graph:
 
     # ---- transformations (each returns a new Graph) ----
 
-    def induced(self, vertices) -> "Graph":
-        vs = set(vertices)
-        missing = vs - set(self.vertices)
-        if missing:
-            raise GraphError(f"unknown vertices {sorted(missing)!r}")
-        return Graph(vs, [(u, v) for u, v in self.edges if u in vs and v in vs])
-
     def relabel(self, mapping: dict) -> "Graph":
         imgs = [mapping.get(v, v) for v in self.vertices]
         if len(set(imgs)) != len(imgs):

@@ -223,9 +223,6 @@ class SubgroupSet:
             out.append(f"S{sub.order}#{i}")
         return tuple(out)
 
-    def by_label(self) -> dict[str, Subgroup]:
-        return dict(zip(self.labels(), self.subgroups))
-
     def census(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for sub in self.subgroups:

@@ -34,6 +34,8 @@ EXHAUSTIVE_THRESHOLD = 10**9
 _SMALL_EXHAUSTIVE_LIMIT = 10**4
 
 _STALL_CUTOFF = 12000
+# each heuristic restart gets at most budget // _BUDGET_SLICES evaluations
+_BUDGET_SLICES = 16
 
 
 class SearchError(ValueError):
@@ -45,7 +47,8 @@ class SearchConfig:
     """Parameters for one genus search.
 
     ``budget`` counts rotation evaluations (heuristic) or DFS nodes
-    (exhaustive).  Exhaustive mode additionally requires the total
+    (exhaustive).  The heuristic spends all of it unless it finds a
+    certificate first.  Exhaustive mode additionally requires the total
     rotation-system count to stay under EXHAUSTIVE_THRESHOLD.
     """
 
@@ -53,15 +56,12 @@ class SearchConfig:
     mode: str = "heuristic"
     seed: int = 0
     budget: int = 10**6
-    restarts: int = 16
 
     def __post_init__(self) -> None:
         if self.mode not in ("heuristic", "exhaustive"):
             raise SearchError(f"unknown mode {self.mode!r}")
         if self.budget <= 0:
             raise SearchError("budget must be positive")
-        if self.restarts <= 0:
-            raise SearchError("restarts must be positive")
         if self.target_genus < 0:
             raise SearchError("target genus must be nonnegative")
 
@@ -104,11 +104,12 @@ def search_embedding(
 ) -> SearchOutcome:
     """Search for an embedding of genus at most cfg.target_genus.
 
-    Heuristic mode runs cfg.restarts annealing restarts (at most
-    cfg.budget of them, so that it never spends more than its budget),
-    deterministic given cfg.seed; ``progress`` (if given) receives (restart,
-    best_face_count) after each restart.  Exhaustive mode proves
-    nonexistence when it completes without finding a certificate.
+    Heuristic mode runs annealing restarts, each on at most a sixteenth
+    of cfg.budget, until it finds a certificate or has spent exactly
+    cfg.budget evaluations; it is deterministic given cfg.seed.
+    ``progress`` (if given) receives (restart, best_face_count) after
+    each restart.  Exhaustive mode proves nonexistence when it completes
+    without finding a certificate.
     """
     if not g.is_connected() or g.edge_count == 0:
         raise SearchError("need a connected graph with at least one edge")
@@ -133,14 +134,17 @@ def _search_heuristic(
 ) -> SearchOutcome:
     darts = _Darts(g)
     f_target = _face_target(g, cfg.target_genus)
-    # every restart costs at least one evaluation, so more restarts than
-    # budget would overspend it
-    restarts = min(cfg.restarts, cfg.budget)
-    slice_budget = cfg.budget // restarts
+    slice_budget = max(1, cfg.budget // _BUDGET_SLICES)
+    # never empty here: a connected graph with no vertex of degree >= 3
+    # is a path or a cycle, of genus 0, so its first evaluation meets
+    # every target
     movable = [v for v, nb in enumerate(g.adj) if len(nb) >= 3]
     evaluations = 0
+    restart = 0
 
-    for restart in range(restarts):
+    while evaluations < cfg.budget:
+        # each restart gets one slice of the budget, the last what is left
+        stop = min(evaluations + slice_budget, cfg.budget)
         rng = random.Random(cfg.seed * 1_000_003 + restart)
         rotation = [list(nb) for nb in g.adj]
         for rot in rotation:
@@ -152,20 +156,14 @@ def _search_heuristic(
         if faces >= f_target:
             cert = _certificate_from(g, darts, rotation, cfg.target_genus)
             return SearchOutcome.found(cert, evaluations)
-        if not movable:
-            if progress is not None:
-                progress(restart, best)
-            continue
 
-        spent = 1
         stall = 0
         step = 0
-        while spent < slice_budget and stall < _STALL_CUTOFF:
+        while evaluations < stop and stall < _STALL_CUTOFF:
             v = movable[rng.randrange(len(movable))]
             i = rng.randrange(len(rotation[v]))
             # a rejected move is never applied, so it needs no undo
             new_faces = faces + darts.swap_delta(nxt, rotation, v, i)
-            spent += 1
             evaluations += 1
             step += 1
             temp = max(0.02, 1.5 * (0.9997**step))
@@ -188,6 +186,7 @@ def _search_heuristic(
                 stall += 1
         if progress is not None:
             progress(restart, best)
+        restart += 1
     return SearchOutcome.budget_exceeded(evaluations)
 
 

@@ -254,6 +254,31 @@ def test_search_unreachable_target_exhausts_budget(capsys):
     )
     assert code == 3
     assert "inconclusive" in out
+    # 3000 is no multiple of 16: the last restart gets what is left
+    code, out, _ = run(
+        capsys, "search", "Z4xZ4", "--genus", "0", "--budget", "3000", "--json"
+    )
+    assert code == 3
+    assert json.loads(out) == {"evaluations": 3000, "status": "budget"}
+
+
+def test_search_restarts_past_the_sixteenth(capsys):
+    # seed 1 finds on its 26th restart: restarts that stall early leave
+    # budget for more than sixteen
+    code, out, err = run(
+        capsys, "search", "Z1080", "--genus", "1", "--seed", "1", "--json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["status"], doc["genus"], doc["evaluations"]) == ("found", 1, 488061)
+    assert [json.loads(line)["restart"] for line in err.splitlines()] == list(range(26))
+
+
+def test_search_has_no_restarts_option(capsys):
+    code, out, err = run(capsys, "search", "Z4xZ4", "--genus", "1", "--restarts", "3")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --restarts 3" in err
 
 
 def test_search_exhaustive_refuses_threshold_violation(capsys):
@@ -364,6 +389,28 @@ def test_factors_past_the_digit_limit_are_input_errors(capsys, argv):
 def test_grid_targets_over_the_cap_are_input_errors(capsys, argv, cap):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: grid vertex count exceeds cap {cap}\n")
+
+
+# the smallest valid parameters over the cap: 4103, 4106, 4112 and 5553
+# vertices, refused before anything is built
+@pytest.mark.parametrize(
+    "family, parameter", [("gn", 2050), ("hn", 1025), ("zppq", 2053), ("fan-lift", 73)]
+)
+def test_certificates_over_the_cap_are_input_errors(capsys, family, parameter):
+    code, out, err = run(capsys, "make-cert", family, str(parameter))
+    assert (code, out, err) == (
+        2, "", f"error: {family} certificate vertex count exceeds cap 4096\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "family, parameter, vertices",
+    [("gn", 2046, 4095), ("hn", 1021, 4090), ("zppq", 2039, 4084), ("fan-lift", 5, 45)],
+)
+def test_certificates_under_the_cap_are_built(capsys, family, parameter, vertices):
+    code, out, _ = run(capsys, "make-cert", family, str(parameter))
+    assert code == 0
+    assert len(json.loads(out)["graph"]["vertices"]) == vertices
 
 
 def test_grid_at_the_cap_is_built(capsys):
@@ -573,7 +620,7 @@ SHARED_OPTIONS = {
     "minor": {"--json", "--budget", "--order-cap"},
     "crosscheck": {"--json", "--seed", "--budget"},
 }
-OWN_OPTIONS = {"search": {"--genus", "--mode", "--restarts"}}
+OWN_OPTIONS = {"search": {"--genus", "--mode"}}
 
 
 def test_each_subcommand_offers_only_the_options_it_reads():

@@ -317,7 +317,7 @@ def test_json_round_trip_shape():
 def test_lattice_edges_are_covering_pairs():
     subs = enumerate_subgroups(parse_group_spec("Z8xZ4"))
     lattice = build_lattice(subs)
-    by_label = subs.by_label()
+    by_label = dict(zip(subs.labels(), subs.subgroups))
     for u, v in lattice.edges:
         a, b = by_label[u].elements, by_label[v].elements
         small, large = (a, b) if len(a) < len(b) else (b, a)
@@ -330,7 +330,7 @@ def test_lattice_edges_are_covering_pairs():
 def test_lattice_no_skip_inclusions():
     subs = enumerate_subgroups(parse_group_spec("Z4xZ2"))
     lattice = build_lattice(subs)
-    by_label = subs.by_label()
+    by_label = dict(zip(subs.labels(), subs.subgroups))
     for u in lattice.vertices:
         for v in lattice.vertices:
             a, b = by_label[u].elements, by_label[v].elements

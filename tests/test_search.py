@@ -32,19 +32,15 @@ def test_config_validation():
     with pytest.raises(SearchError):
         SearchConfig(1, budget=0)
     with pytest.raises(SearchError):
-        SearchConfig(1, restarts=0)
-    with pytest.raises(SearchError):
         SearchConfig(-1)
 
 
-@pytest.mark.parametrize("budget,restarts", [(10, 1000), (16, 16), (17, 16), (2000, 16)])
-def test_heuristic_never_spends_more_than_its_budget(budget, restarts):
-    # Z4xZ4 is not planar, so the genus-0 search runs until the budget ends
-    outcome = search_embedding(
-        lattice_for("Z4xZ4"), SearchConfig(0, budget=budget, restarts=restarts)
-    )
+@pytest.mark.parametrize("budget", [1, 10, 16, 17, 2000])
+def test_heuristic_never_spends_more_than_its_budget(budget):
+    # Z4xZ4 is not planar, so the genus-0 search spends its whole budget
+    outcome = search_embedding(lattice_for("Z4xZ4"), SearchConfig(0, budget=budget))
     assert outcome.status == "budget"
-    assert outcome.evaluations <= budget
+    assert outcome.evaluations == budget
 
 
 def test_search_needs_a_connected_graph_with_edges():
@@ -120,12 +116,14 @@ def test_progress_callback_sees_each_restart():
     seen = []
     outcome = search_embedding(
         g,
-        SearchConfig(0, mode="heuristic", seed=1, budget=2000, restarts=3),
+        SearchConfig(0, mode="heuristic", seed=1, budget=300_000),
         progress=lambda restart, best: seen.append((restart, best)),
     )
-    # genus 0 is unreachable, so every restart runs and reports
+    # genus 0 is unreachable, so every restart runs and reports; restarts
+    # that stall early leave budget for more than sixteen of them
     assert outcome.status == "budget"
-    assert [r for r, _ in seen] == [0, 1, 2]
+    assert outcome.evaluations == 300_000
+    assert [r for r, _ in seen] == list(range(25))
     assert all(isinstance(best, int) and best >= 1 for _, best in seen)
 
 
