@@ -26,15 +26,16 @@ from .embeddings import (
     verify_certificate,
     zppq_certificate,
 )
-from .evidence import (
-    MINOR_BUDGET_DEFAULT,
-    MINOR_PATTERNS,
-    SEARCH_BUDGET_DEFAULT,
-    crosscheck_rows,
-    group_bounds,
-)
+from .evidence import MINOR_PATTERNS, crosscheck_rows, group_bounds
 from .formulas import FormulaError, GenusEstimate, classify_abelian, estimate_grid_genus
-from .graphs import Graph, GraphError, find_minor, grid_graph, grid_vertex_count
+from .graphs import (
+    MINOR_BUDGET_DEFAULT,
+    Graph,
+    GraphError,
+    find_minor,
+    grid_graph,
+    grid_vertex_count,
+)
 from .groups import (
     DEFAULT_ORDER_CAP,
     GroupError,
@@ -44,7 +45,7 @@ from .groups import (
     lattice_for,
     parse_group_spec,
 )
-from .search import SearchConfig, SearchError, search_embedding
+from .search import SEARCH_BUDGET_DEFAULT, SearchConfig, SearchError, search_embedding
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1

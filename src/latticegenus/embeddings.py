@@ -9,10 +9,11 @@ holds the face-tracing engine that turns rotation systems into faces
 (the one ``trace_faces`` and both searches use; it also updates a face
 count after one swap in one rotation by tracing only the faces the swap
 touches), constructs the three parameterized certificate families used
-for lattice genus upper bounds, and performs the edge-to-fan surgery
-that turns a gadget embedding into a subgroup lattice embedding: the
-fan lift of the Z_{p^2} x Z_{p^2} lattice, whose vertices are labeled
-onto the lattice by construction, not found by an isomorphism search.
+for lattice genus upper bounds, and performs the edge-to-fan surgery:
+one face rewrite, which ``fan_expansion`` applies to one edge and the
+fan lift of the Z_{p^2} x Z_{p^2} lattice to every rim edge of a gadget
+at once.  The lift's vertices are labeled onto the lattice by
+construction, not found by an isomorphism search.
 """
 
 from __future__ import annotations
@@ -430,6 +431,28 @@ def zppq_certificate(p: int) -> EmbeddingCertificate:
     return _verified_family(g, faces, 2 * p + 4, (p - 1) // 2)
 
 
+def _fan_faces(
+    faces: Sequence[tuple[str, ...]], fans: dict[tuple[str, str], list[str]]
+) -> list[tuple[str, ...]]:
+    """The faces after fanning each edge (u, v) of ``fans`` into its fan
+    labels w: a step u -> v passes w[0], a step v -> u passes w[-1], and
+    the quadrilaterals (u, w[j+1], v, w[j]) follow, edge by edge."""
+    via = {}
+    for (u, v), w in fans.items():
+        via[(u, v)], via[(v, u)] = w[0], w[-1]
+    out = []
+    for walk in faces:
+        face = []
+        for x, y in zip(walk, walk[1:] + walk[:1]):
+            face.append(x)
+            if (x, y) in via:
+                face.append(via[(x, y)])
+        out.append(tuple(face))
+    for (u, v), w in fans.items():
+        out += [(u, w[j + 1], v, w[j]) for j in range(len(w) - 1)]
+    return out
+
+
 def fan_expansion(
     g: Graph,
     cert: EmbeddingCertificate,
@@ -439,9 +462,10 @@ def fan_expansion(
 ) -> tuple[Graph, EmbeddingCertificate]:
     """Replace an edge by a fan of k parallel length-2 paths.
 
-    The two face walks through the edge are rerouted through the first
-    and last new vertex, and the k-1 quadrilaterals between consecutive
-    fan paths become new faces, so the genus is unchanged.
+    The step u -> v of the face walks is rerouted through the first new
+    vertex and the step v -> u through the last (both steps may lie on
+    one walk), and the k-1 quadrilaterals between consecutive fan paths
+    become new faces, so the genus is unchanged.
     """
     u, v = edge
     if not g.has_edge(u, v):
@@ -454,44 +478,16 @@ def fan_expansion(
             "label-collision",
             f"need {k} fresh distinct labels, got {labels!r}",
         )
+    before = verify_certificate(g, cert)
 
-    new_vertices = set(g.vertices) | set(w)
     new_edges = [e for e in g.edges if set(e) != {u, v}]
     for wj in w:
         new_edges.append((u, wj))
         new_edges.append((wj, v))
-    new_graph = Graph(new_vertices, new_edges)
-
-    def reroute(walk: tuple[str, ...], first: str, second: str, via: str):
-        n = len(walk)
-        for i in range(n):
-            if walk[i] == first and walk[(i + 1) % n] == second:
-                return walk[: i + 1] + (via,) + walk[i + 1 :]
-        return None
-
-    faces = list(cert.faces)
-    done_uv = done_vu = False
-    for idx, walk in enumerate(faces):
-        if not done_uv:
-            new_walk = reroute(walk, u, v, w[0])
-            if new_walk is not None:
-                faces[idx] = new_walk
-                done_uv = True
-                continue
-        if not done_vu:
-            new_walk = reroute(faces[idx], v, u, w[k - 1])
-            if new_walk is not None:
-                faces[idx] = new_walk
-                done_vu = True
-    if not (done_uv and done_vu):
-        raise CertificateError(
-            "edge-cover", f"certificate does not traverse {edge} in both directions"
-        )
-    for j in range(k - 1):
-        faces.append((u, w[j + 1], v, w[j]))
-
-    new_cert = EmbeddingCertificate(new_graph, tuple(faces))
-    before = verify_certificate(g, cert)
+    new_graph = Graph(set(g.vertices) | set(w), new_edges)
+    new_cert = EmbeddingCertificate(
+        new_graph, tuple(_fan_faces(cert.faces, {edge: w}))
+    )
     after = verify_certificate(new_graph, new_cert)
     if after.genus != before.genus:
         raise InvariantError(
@@ -527,9 +523,7 @@ def fan_lift_certificate(p: int) -> EmbeddingCertificate:
     C of order p^2 with pC = L, in label order.  Every order-p^3 subgroup
     contains pG, so C + pG is the one M above C, and pM = pC = L.
 
-    The faces are fan_expansion's, written directly: alpha_i -> beta_i
-    passes the first fan vertex, beta_i -> alpha_i the last, and
-    consecutive fan paths bound p-1 quadrilaterals.
+    The faces are fan_expansion's, with every rim edge fanned at once.
     """
     if not _is_prime(p) or (p + 1) % 4 != 2:
         raise CertificateError(
@@ -547,26 +541,16 @@ def fan_lift_certificate(p: int) -> EmbeddingCertificate:
     # pG is the one subgroup of order p^2 that p kills
     [b] = by_key[(q, frozenset({(0, 0)}))]
     rename = {"a": names[0], "b": b, "c": names[-1]}
-    # the fan vertex each gadget step alpha_i -> beta_i or back passes
-    via: dict[tuple[str, str], str] = {}
-    quads: list[tuple[str, ...]] = []
+    fans: dict[tuple[str, str], list[str]] = {}
     lines = [(name, sub.elements) for name, sub in zip(names, subs.subgroups)
              if sub.order == p]
     for i, (line, elems) in enumerate(lines, 1):
         [m] = by_key[(q * p, elems)]
-        fan = by_key[(q, elems)]
         rename[f"alpha_{i}"], rename[f"beta_{i}"] = line, m
-        via[(f"alpha_{i}", f"beta_{i}")] = fan[0]
-        via[(f"beta_{i}", f"alpha_{i}")] = fan[-1]
-        quads += [(line, fan[j + 1], m, fan[j]) for j in range(p - 1)]
-    faces = []
-    for walk in gn_certificate(n).faces:
-        face = []
-        for x, y in zip(walk, walk[1:] + walk[:1]):
-            face.append(rename[x])
-            if (x, y) in via:
-                face.append(via[(x, y)])
-        faces.append(tuple(face))
+        fans[(line, m)] = by_key[(q, elems)]
+    faces = _fan_faces(
+        [tuple(rename[x] for x in walk) for walk in gn_certificate(n).faces], fans
+    )
     return _verified_family(
-        build_lattice(subs), faces + quads, 5 * n // 2 + n * (p - 1), (n - 2) // 4
+        build_lattice(subs), faces, 5 * n // 2 + n * (p - 1), (n - 2) // 4
     )

@@ -10,7 +10,6 @@ constructed), a minor whose genus forces genus >= 2, or the Euler bound.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -25,6 +24,7 @@ from .formulas import (
     genus_complete_bipartite,
 )
 from .graphs import (
+    MINOR_BUDGET_DEFAULT,
     Graph,
     complete_bipartite,
     double_k33_pattern,
@@ -32,10 +32,7 @@ from .graphs import (
     is_planar,
 )
 from .groups import DEFAULT_ORDER_CAP, GroupSpec, lattice_for, parse_group_spec
-from .search import SearchConfig, SearchError, search_embedding
-
-SEARCH_BUDGET_DEFAULT = 10**6
-MINOR_BUDGET_DEFAULT = 10**7
+from .search import SEARCH_BUDGET_DEFAULT, SearchConfig, SearchError, search_embedding
 
 
 def _k5() -> Graph:
@@ -62,15 +59,6 @@ _MINOR_GENUS = {
         genus_complete_bipartite(6, 4),
         ("minor:k6-4", "formula:complete-bipartite"),
     ),
-}
-
-# prime-power pattern -> family_genus family, primes in the key's order
-_FAMILIES = {
-    ((2, 2),): "Zp2xZp2",
-    ((3, 2),): "Zp3xZp2",
-    ((1, 1, 1),): "ZpxZpxZp",
-    ((1, 1), (1,)): "ZpxZpxZq",
-    ((1, 1), (2,)): "ZpxZpxZq2",
 }
 
 
@@ -101,12 +89,9 @@ def group_bounds(
     est = GenusEstimate(
         cls.lower, cls.upper, cls.upper == cls.lower, (f"table:abelian:{cls.label}",)
     )
-    pattern = spec.prime_pattern()
-    for primes in itertools.permutations(sorted(pattern)):
-        family = _FAMILIES.get(tuple(pattern[p] for p in primes))
-        if family is not None:
-            est = est.merge(family_genus(family, *primes))
-            break
+    family = family_genus(spec)
+    if family is not None:
+        est = est.merge(family)
     lattice = lattice_for(spec, order_cap=order_cap)
     planarity = _planarity(lattice)
     est = est.merge(planarity)

@@ -2,9 +2,10 @@
 
 Everything here is pure arithmetic: exact genus formulas for grid-graph
 families, the Euler-formula lower bound for girth-4 graphs, upper-bound
-recurrences for three-parameter grids, block additivity, and the lookup
-tables classifying cyclic and abelian groups by lattice genus.  All
-intermediate values are exact rationals; floats never appear.
+recurrences for three-parameter grids, block additivity, the closed
+forms of five lattice families, and the lookup tables classifying
+cyclic and abelian groups by lattice genus.  All intermediate values
+are exact rationals; floats never appear.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .embeddings import InvariantError
-from .groups import GroupSpec, _is_prime
+from .groups import GroupSpec
 
 
 class FormulaError(ValueError):
@@ -236,20 +237,11 @@ def block_additive_genus(per_block: Iterable[GenusEstimate]) -> GenusEstimate:
 
 
 @dataclass(frozen=True)
-class CyclicClass:
-    """Genus classification of a cyclic group's lattice by its exponent
-    multiset: an exact value for genus 0..4, the interval [4,6] for the
-    one unresolved multiset, or a genus >= 5 verdict."""
-
-    label: str
-    lower: int
-    upper: int | None
-
-
-@dataclass(frozen=True)
 class AbelianClass:
-    """Genus classification of an arbitrary finite abelian group:
-    planar, toroidal, or genus at least two."""
+    """Genus classification of a finite abelian group's lattice: planar,
+    toroidal, or genus at least two; for a cyclic group by its exponent
+    multiset, an exact value for genus 0..4, the interval [4,6] for the
+    one unresolved multiset, or a genus >= 5 verdict."""
 
     label: str
     lower: int
@@ -279,15 +271,15 @@ def _is_planar_grid(exps: tuple[int, ...]) -> bool:
     return k <= 2 or (k == 3 and sum(1 for e in exps if e > 1) <= 1)
 
 
-def classify_cyclic(exponents: Iterable[int]) -> CyclicClass:
+def classify_cyclic(exponents: Iterable[int]) -> AbelianClass:
     """Classify the lattice genus of a cyclic group whose order has the
     given prime-power exponents (one entry per distinct prime)."""
     exps = tuple(sorted((int(e) for e in exponents), reverse=True))
     if not exps or exps[-1] < 1:
         raise FormulaError(f"exponents must be a nonempty positive multiset: {exps}")
 
-    def exact(g: int) -> CyclicClass:
-        return CyclicClass(f"Genus{g}", g, g)
+    def exact(g: int) -> AbelianClass:
+        return AbelianClass(f"Genus{g}", g, g)
 
     if _is_planar_grid(exps):
         return exact(0)
@@ -300,8 +292,8 @@ def classify_cyclic(exponents: Iterable[int]) -> CyclicClass:
     if exps in _GENUS4_TRIPLES or exps == (4, 1, 1, 1):
         return exact(4)
     if exps == (2, 2, 1, 1):
-        return CyclicClass("Range(4,6)", 4, 6)
-    return CyclicClass("AtLeast5", 5, None)
+        return AbelianClass("Range(4,6)", 4, 6)
+    return AbelianClass("AtLeast5", 5, None)
 
 
 def classify_abelian(g: GroupSpec) -> AbelianClass:
@@ -340,45 +332,37 @@ def classify_abelian(g: GroupSpec) -> AbelianClass:
     return AbelianClass("AtLeastTwo", 2, None)
 
 
-_FAMILIES = ("Zp2xZp2", "Zp3xZp2", "ZpxZpxZq", "ZpxZpxZp", "ZpxZpxZq2")
-
-
-def family_genus(family: str, p: int, q: int | None = None) -> GenusEstimate:
-    """Genus of a named lattice family at a concrete prime.
-
-    Families over a second prime q require q != p; the two lower-bound
-    families return open-ended estimates.
-    """
-    if family not in _FAMILIES:
-        raise FormulaError(f"unknown family {family!r}; expected one of {_FAMILIES}")
-    if not _is_prime(p):
-        raise FormulaError(f"p={p} is not prime")
-    needs_q = family in ("ZpxZpxZq", "ZpxZpxZq2")
-    if needs_q:
-        if q is None or not _is_prime(q) or q == p:
-            raise FormulaError(f"family {family} needs a prime q != p, got q={q}")
-    elif q is not None:
-        raise FormulaError(f"family {family} takes no q")
-
-    if family == "Zp2xZp2":
+def family_genus(spec: GroupSpec) -> GenusEstimate | None:
+    """Genus of the group's lattice from the closed form of its lattice
+    family (Z_{p^2}^2, Z_{p^3} x Z_{p^2}, Z_p^2 x Z_q, Z_p^3, Z_p^2 x
+    Z_{q^2}), or None when it is in none.  The last two families give
+    open-ended estimates."""
+    pattern = spec.prime_pattern()
+    # of two primes, p is the one with the (1, 1) part and q the other
+    primes = sorted(pattern, key=lambda r: pattern[r] != (1, 1))
+    shape = tuple(pattern[r] for r in primes)
+    p, q = primes[0], primes[-1]
+    if shape == ((2, 2),):
         return GenusEstimate.exactly(
             math.ceil(Fraction(p - 1, 4)), [f"formula:zp2xzp2(p={p})"]
         )
-    if family == "Zp3xZp2":
+    if shape == ((3, 2),):
         if p == 2:
             return GenusEstimate.exactly(1, ["formula:zp3xzp2(p=2)"])
         return GenusEstimate.exactly(
             2 * math.ceil(Fraction(p - 2, 4)), [f"formula:zp3xzp2(p={p})"]
         )
-    if family == "ZpxZpxZq":
+    if shape == ((1, 1), (1,)):
         return GenusEstimate.exactly(
             math.ceil(Fraction(p - 1, 2)), [f"formula:zpzpzq(p={p},q={q})"]
         )
-    if family == "ZpxZpxZp":
+    if shape == ((1, 1, 1),):
         return GenusEstimate.at_least(
             math.ceil(Fraction(p**3 - 1, 4)), [f"bound:zpzpzp(p={p})"]
         )
-    return GenusEstimate.at_least(p - 1, [f"bound:zpzpzq2(p={p},q={q})"])
+    if shape == ((1, 1), (2,)):
+        return GenusEstimate.at_least(p - 1, [f"bound:zpzpzq2(p={p},q={q})"])
+    return None
 
 
 def estimate_grid_genus(exponents: Iterable[int]) -> GenusEstimate:

@@ -14,6 +14,7 @@ reads that numbering and maps ids back to labels only at its edges.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import networkx as nx
@@ -93,7 +94,11 @@ class Graph:
 
     def has_edge(self, u: str, v: str) -> bool:
         a, b = self.index.get(u), self.index.get(v)
-        return a is not None and b is not None and b in self.adj[a]
+        if a is None or b is None:
+            return False
+        row = self.adj[a]
+        i = bisect_left(row, b)
+        return i < len(row) and row[i] == b
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         try:
@@ -463,6 +468,10 @@ def validate_minor_witness(host: Graph, pattern: Graph, witness: MinorWitness) -
             raise GraphError(f"no host edge realizes pattern edge ({pu!r}, {pv!r})")
 
 
+# the node budget of find_minor when none is given
+MINOR_BUDGET_DEFAULT = 10**7
+
+
 @dataclass(frozen=True)
 class MinorSearchResult:
     witness: "MinorWitness | None"
@@ -566,7 +575,9 @@ def _symmetry_constraints(pattern: Graph, order: list) -> list[set]:
     return cons
 
 
-def find_minor(host: Graph, pattern: Graph, budget: int = 10**7) -> MinorSearchResult:
+def find_minor(
+    host: Graph, pattern: Graph, budget: int = MINOR_BUDGET_DEFAULT
+) -> MinorSearchResult:
     """Backtracking branch-set search for pattern as a minor of host.
 
     One depth-first pass over kernel bitmasks: pattern vertices are placed

@@ -29,6 +29,8 @@ from .embeddings import (
 )
 
 EXHAUSTIVE_THRESHOLD = 10**9
+# the evaluation or node budget of a search when none is given
+SEARCH_BUDGET_DEFAULT = 10**6
 # below this rotation-system count, settling exact genus by DFS is
 # cheaper than running the heuristic
 _SMALL_EXHAUSTIVE_LIMIT = 10**4
@@ -55,7 +57,7 @@ class SearchConfig:
     target_genus: int
     mode: str = "heuristic"
     seed: int = 0
-    budget: int = 10**6
+    budget: int = SEARCH_BUDGET_DEFAULT
 
     def __post_init__(self) -> None:
         if self.mode not in ("heuristic", "exhaustive"):
@@ -352,9 +354,8 @@ def exact_genus_exhaustive(
 
 def exact_genus_small(
     g: Graph,
-    budget: int = 10**6,
+    budget: int = SEARCH_BUDGET_DEFAULT,
     seed: int = 0,
-    known: GenusEstimate | None = None,
 ) -> GenusEstimate:
     """Best certified genus estimate for a small connected graph.
 
@@ -362,16 +363,12 @@ def exact_genus_small(
     Euler lower bound (girth >= 4), then certificates from exhaustive
     search (tiny graphs) or the heuristic at increasing targets.  The
     result is exact only when a verified certificate meets the lower
-    bound; ``known`` merges in an externally derived estimate such as a
-    minor-based bound.
+    bound.
     """
     if not g.is_connected():
         raise SearchError("need a connected graph")
 
-    est = _exact_genus_block(g, budget, seed)
-    if known is not None:
-        est = est.merge(known)
-    return est
+    return _exact_genus_block(g, budget, seed)
 
 
 def _exact_genus_block(g: Graph, budget: int, seed: int) -> GenusEstimate:

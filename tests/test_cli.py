@@ -11,7 +11,7 @@ import textwrap
 import pytest
 
 import latticegenus
-from latticegenus import GenusEstimate, VerifiedGenus, family_genus
+from latticegenus import GenusEstimate, VerifiedGenus, family_genus, parse_group_spec
 from latticegenus.cli import build_parser, main
 
 
@@ -218,7 +218,7 @@ def test_fan_lift_at_seventeen_meets_the_family_formula(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(cert_path), "--json")
     assert code == 0
     assert json.loads(out) == {"faces": 333, "genus": 4}
-    formula = family_genus("Zp2xZp2", 17)
+    formula = family_genus(parse_group_spec("Z289xZ289", order_cap=None))
     assert formula.exact and formula.lower == 4
 
 
@@ -433,7 +433,7 @@ def test_contradictory_bounds_are_a_disagreement(capsys, monkeypatch):
     # contradicts it, which is a library fault (exit 1), not bad input
     monkeypatch.setattr(
         "latticegenus.evidence.family_genus",
-        lambda family, *primes: GenusEstimate.exactly(5, ["formula:wrong"]),
+        lambda spec: GenusEstimate.exactly(5, ["formula:wrong"]),
     )
     code, out, err = run(capsys, "bounds", "Z25xZ25")
     assert code == 1

@@ -341,6 +341,15 @@ def test_fan_expansion_needs_the_edge_traversed():
     assert err.value.code == "edge-cover"
 
 
+def test_fan_expansion_of_an_edge_with_both_darts_on_one_face():
+    # the path 0-1-2 has one face, which walks 0-1 both ways
+    g = Graph(["0", "1", "2"], [("0", "1"), ("1", "2")])
+    cert = EmbeddingCertificate(g, (("0", "1", "2", "1"),))
+    new_graph, new_cert = fan_expansion(g, cert, ("0", "1"), 2, ["w0", "w1"])
+    assert new_cert.faces == (("0", "w0", "1", "2", "1", "w1"), ("0", "w1", "1", "w0"))
+    assert verify_certificate(new_graph, new_cert) == VerifiedGenus(2, 0)
+
+
 def test_fan_lift_reaches_the_rank_two_lattice():
     # expanding all six spoke edges of the width-6 gadget produces the
     # subgroup lattice of Z25 x Z25 with its torus embedding intact

@@ -356,30 +356,23 @@ def test_genus_zero_iff_planar_lattice_small_orders():
 
 
 def test_family_genus_values():
-    assert family_genus("Zp2xZp2", 2) == GenusEstimate.exactly(1, family_genus("Zp2xZp2", 2).provenance)
-    assert family_genus("Zp2xZp2", 5).lower == 1
-    assert family_genus("Zp2xZp2", 7).lower == 2
-    assert family_genus("Zp3xZp2", 2).lower == 1 and family_genus("Zp3xZp2", 2).exact
-    assert family_genus("Zp3xZp2", 3).lower == 2
-    est = family_genus("ZpxZpxZq", 7, 2)
-    assert est.exact and est.lower == 3
-    est = family_genus("ZpxZpxZp", 2)
-    assert not est.exact and est.lower == 2
-    est = family_genus("ZpxZpxZq2", 3, 2)
-    assert not est.exact and est.lower == 2
-
-
-def test_family_genus_rejects_bad_parameters():
-    with pytest.raises(FormulaError):
-        family_genus("nope", 3)
-    with pytest.raises(FormulaError):
-        family_genus("Zp2xZp2", 4)
-    with pytest.raises(FormulaError):
-        family_genus("ZpxZpxZq", 3)  # q required
-    with pytest.raises(FormulaError):
-        family_genus("ZpxZpxZq", 3, 3)  # q must differ
-    with pytest.raises(FormulaError):
-        family_genus("Zp2xZp2", 3, 5)  # q not accepted
+    # each family shape at two primes, and two groups in no family
+    cases = {
+        "Z4xZ4": GenusEstimate.exactly(1, ["formula:zp2xzp2(p=2)"]),
+        "Z49xZ49": GenusEstimate.exactly(2, ["formula:zp2xzp2(p=7)"]),
+        "Z8xZ4": GenusEstimate.exactly(1, ["formula:zp3xzp2(p=2)"]),
+        "Z27xZ9": GenusEstimate.exactly(2, ["formula:zp3xzp2(p=3)"]),
+        "Z7xZ7xZ2": GenusEstimate.exactly(3, ["formula:zpzpzq(p=7,q=2)"]),
+        "Z2xZ2xZ3": GenusEstimate.exactly(1, ["formula:zpzpzq(p=2,q=3)"]),
+        "Z2xZ2xZ2": GenusEstimate.at_least(2, ["bound:zpzpzp(p=2)"]),
+        "Z3xZ3xZ3": GenusEstimate.at_least(7, ["bound:zpzpzp(p=3)"]),
+        "Z3xZ3xZ4": GenusEstimate.at_least(2, ["bound:zpzpzq2(p=3,q=2)"]),
+        "Z2xZ2xZ9": GenusEstimate.at_least(1, ["bound:zpzpzq2(p=2,q=3)"]),
+        "Z8": None,
+        "Z4xZ4xZ4": None,
+    }
+    for text, expected in cases.items():
+        assert family_genus(parse_group_spec(text)) == expected, text
 
 
 # ------------------------------------------------------- grid estimates

@@ -55,6 +55,12 @@ def test_graph_numbers_vertices_by_sorted_label():
         g.neighbors("zz")
     assert Graph([], []).is_connected()
     assert g.degree("a") == 2
+    # a hub's long neighbor row answers like the edge list, at both ends
+    hub = gn_graph(200)
+    edges = set(hub.edges)
+    assert max(len(row) for row in hub.adj) == 400
+    for u, v in itertools.product(hub.vertices + ("zz",), repeat=2):
+        assert hub.has_edge(u, v) == ((u, v) in edges or (v, u) in edges)
 
 
 def test_graph_rejects_bad_edges():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from latticegenus import (
     DEFAULT_ORDER_CAP,
     GroupError,
+    GroupSpec,
     build_lattice,
     enumerate_subgroups,
     grid_graph,
@@ -233,6 +234,17 @@ def test_parse_prime_pattern():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(GroupError):
         parse_group_spec(bad)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [(), ((4, 1),), ((1, 2),), ((3, 0),), ((3,),), ((3, 1.0),)],
+    ids=["empty", "composite-base", "unit-base", "zero-exponent", "not-a-pair",
+         "not-integers"],
+)
+def test_spec_rejects_bad_factors(factors):
+    with pytest.raises(GroupError):
+        GroupSpec(factors)
 
 
 _SPEC_TEXTS = st.one_of(

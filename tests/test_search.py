@@ -181,7 +181,7 @@ def test_exact_genus_small_adds_over_blocks():
 
 def test_exact_genus_small_merges_outside_knowledge():
     known = GenusEstimate.at_least(1, ["external"])
-    est = exact_genus_small(lattice_for("Z4xZ4"), budget=10**5, seed=0, known=known)
+    est = exact_genus_small(lattice_for("Z4xZ4"), budget=10**5, seed=0).merge(known)
     assert est.exact and est.lower == 1
     assert "external" in est.provenance
 
