@@ -94,12 +94,19 @@ class GenusEstimate:
 
 def euler_lower_bound(v: int, e: int) -> Fraction:
     """Exact rational genus lower bound 1 + e/4 - v/2 for a connected
-    graph with girth at least 4."""
+    graph with girth at least 4 and at least 3 vertices.
+
+    The bound assumes every face has length at least 4, which fails on
+    fewer than 3 vertices (K1 and K2 are planar), so v < 3 gives 0.
+    """
+    if v < 3:
+        return Fraction(0)
     return 1 + Fraction(e, 4) - Fraction(v, 2)
 
 
 def euler_lower_bound_int(v: int, e: int) -> int:
-    """Ceiling of euler_lower_bound, clamped to a usable genus bound."""
+    """Ceiling of euler_lower_bound, clamped to a usable genus bound;
+    the same precondition holds, and v < 3 gives 0."""
     return max(0, math.ceil(euler_lower_bound(v, e)))
 
 

@@ -108,7 +108,10 @@ class Graph:
         return tuple(self.vertices[w] for w in self.adj[i])
 
     def degree(self, v: str) -> int:
-        return len(self.neighbors(v))
+        try:
+            return len(self.adj[self.index[v]])
+        except KeyError:
+            raise GraphError(f"unknown vertex {v!r}") from None
 
     def is_connected(self) -> bool:
         return _connected(self.adj, range(len(self.adj)))
@@ -336,16 +339,46 @@ def _connected(adj, members) -> bool:
     return len(seen) == len(members)
 
 
+def _two_colorable(adj) -> bool:
+    """Whether the id adjacency ``adj`` is bipartite, every component
+    included."""
+    color = [-1] * len(adj)
+    for root in range(len(adj)):
+        if color[root] >= 0:
+            continue
+        color[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            other = color[u] ^ 1
+            for w in adj[u]:
+                if color[w] < 0:
+                    color[w] = other
+                    stack.append(w)
+                elif color[w] != other:
+                    return False
+    return True
+
+
 def girth(g: Graph):
-    """Length of the shortest cycle; float('inf') for forests."""
+    """Length of the shortest cycle; float('inf') for forests.
+
+    No cycle is shorter than 4 in a 2-colorable graph or shorter than 3
+    in any other, so the search stops as soon as it meets that floor:
+    on a subgroup lattice, bipartite because a cover changes Omega(|H|)
+    by one, the first 4-cycle ends it.
+    """
     best = float("inf")
     adj = g.adj
+    floor = 4 if _two_colorable(adj) else 3
     # one BFS per root: id w is reached in root's BFS iff mark[w] == root,
     # so no table is cleared between roots
     mark = [-1] * len(adj)
     dist = [0] * len(adj)
     parent = [-1] * len(adj)
     for root in range(len(adj)):
+        if best == floor:
+            break
         mark[root] = root
         dist[root] = 0
         parent[root] = -1
@@ -378,6 +411,16 @@ def to_networkx(g: Graph) -> "nx.Graph":
 
 
 def is_planar(g: Graph) -> bool:
+    """Planarity; Euler's formula settles the dense cases without
+    networkx.
+
+    A planar simple graph on n >= 3 vertices has at most 3n - 6 edges,
+    and at most 2n - 4 when it is 2-colorable (every face then has
+    length at least 4).  K2 is why n >= 3 is needed: 1 > 3·2 - 6.
+    """
+    n, e = g.vertex_count, g.edge_count
+    if n >= 3 and (e > 3 * n - 6 or (e > 2 * n - 4 and _two_colorable(g.adj))):
+        return False
     ok, _ = nx.check_planarity(to_networkx(g))
     return ok
 

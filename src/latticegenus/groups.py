@@ -8,7 +8,9 @@ lattice's Hermite normal form: an upper-triangular basis whose pivots
 are powers of p dividing the moduli (Hampejs, Holighaus, Toth and
 Wiesmeyr, J. Numbers 2014, for rank 2; Butler, Mem. AMS 539, 1994, for
 higher rank).  The lattice graph connects subgroups related by a
-covering inclusion, which is an inclusion of prime index.
+covering inclusion, which is an inclusion of prime index; an order
+class that many subgroups search for covers is searched through an
+index from each element to the bitmask of the members holding it.
 """
 
 from __future__ import annotations
@@ -329,11 +331,15 @@ def enumerate_subgroups(
         _primary_subgroups(p, tuple(p**k for _, k in group))
         for p, group in itertools.groupby(g.factors, key=lambda f: f[0])
     ]
-    subgroups = tuple(
-        Subgroup(frozenset(sum(elems, ()) for elems in itertools.product(*combo)))
-        for combo in itertools.product(*parts)
-    )
-    return SubgroupSet(g, subgroups)
+    subgroups = []
+    for combo in itertools.product(*parts):
+        # prefix products: each part's tuples are concatenated once per
+        # element of the product so far
+        elems = combo[0]
+        for part in combo[1:]:
+            elems = [x + y for x in elems for y in part]
+        subgroups.append(Subgroup(frozenset(elems)))
+    return SubgroupSet(g, tuple(subgroups))
 
 
 def build_lattice(s: SubgroupSet) -> Graph:
@@ -341,6 +347,15 @@ def build_lattice(s: SubgroupSet) -> Graph:
     contains the other with no subgroup strictly between.
 
     ``s`` must hold every subgroup of its group, as SubgroupSet does.
+
+    An order class in which more subgroups look for covers than each of
+    its members has elements gets an index: element -> bitmask of the
+    members that hold it.  The AND of the rows of H's elements is the
+    set of members containing H, and each survivor is confirmed by the
+    subset test.  Building the index costs a step per element of each
+    member and saves a scan of the class per look, so the other classes
+    keep the subset test alone: every class of a cyclic group, and of
+    the fan lift's Z_{p^2} x Z_{p^2}, whose index would hold p^4 keys.
     """
     labels = s.labels()
     subs = s.subgroups
@@ -348,12 +363,41 @@ def build_lattice(s: SubgroupSet) -> Graph:
     for j, sub in enumerate(subs):
         by_order.setdefault(sub.order, []).append(j)
     primes = {p for p, _ in s.group.factors}
+    # how many subgroups look for their covers in each order class
+    looks: dict[int, int] = {}
+    for order, members in by_order.items():
+        for p in primes:
+            looks[order * p] = looks.get(order * p, 0) + len(members)
+    index: dict[int, dict[tuple[int, ...], int]] = {}
+    for order, members in by_order.items():
+        if looks.get(order, 0) > order:
+            rows: dict[tuple[int, ...], int] = {}
+            for bit, j in enumerate(members):
+                for x in subs[j].elements:
+                    rows[x] = rows.get(x, 0) | 1 << bit
+            index[order] = rows
     edges = []
     for i, sub in enumerate(subs):
         # H < K is a cover iff [K:H] is prime: the abelian K/H has a
         # subgroup of every order dividing its own
         for p in primes:
-            for j in by_order.get(sub.order * p, ()):
+            members = by_order.get(sub.order * p, ())
+            rows = index.get(sub.order * p)
+            if rows is not None:
+                mask = (1 << len(members)) - 1
+                # each x is a key: the class is not empty, so |H|·p
+                # divides |G| and H has a cover in it
+                for x in sub.elements:
+                    mask &= rows[x]
+                    if not mask & (mask - 1):
+                        break
+                found = []
+                while mask:
+                    low = mask & -mask
+                    found.append(members[low.bit_length() - 1])
+                    mask ^= low
+                members = found
+            for j in members:
                 if sub.elements < subs[j].elements:
                     edges.append((labels[i], labels[j]))
     return Graph(labels, edges)

@@ -88,6 +88,14 @@ def test_euler_bound_is_exact_rational():
     assert euler_lower_bound_int(30, 63) == 2
 
 
+@pytest.mark.parametrize("v, e", [(1, 0), (2, 1), (2, 0)])
+def test_euler_bound_is_zero_below_three_vertices(v, e):
+    # K1 and K2 are planar: with fewer than 3 vertices a face need not
+    # have length 4, so the bound does not apply
+    assert euler_lower_bound(v, e) == 0
+    assert euler_lower_bound_int(v, e) == 0
+
+
 @pytest.mark.parametrize(
     "text,shape,bound",
     [

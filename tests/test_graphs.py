@@ -55,6 +55,8 @@ def test_graph_numbers_vertices_by_sorted_label():
         g.neighbors("zz")
     assert Graph([], []).is_connected()
     assert g.degree("a") == 2
+    with pytest.raises(GraphError, match="unknown vertex 'zz'"):
+        g.degree("zz")
     # a hub's long neighbor row answers like the edge list, at both ends
     hub = gn_graph(200)
     edges = set(hub.edges)
@@ -173,12 +175,67 @@ def test_lattices_are_bipartite_girth_four():
         assert girth(lattice) == 4
 
 
+def _from_nx(h):
+    return Graph([str(v) for v in h], [(str(u), str(v)) for u, v in h.edges])
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_girth_matches_networkx(seed):
     rng = random.Random(seed)
     h = nx.gnp_random_graph(rng.randint(1, 14), rng.uniform(0.05, 0.5), seed=seed)
-    g = Graph([str(v) for v in h], [(str(u), str(v)) for u, v in h.edges])
-    assert girth(g) == nx.girth(h)
+    assert girth(_from_nx(h)) == nx.girth(h)
+
+
+def test_girth_two_colors_every_component():
+    # the C4's labels sort first; a 2-coloring that stopped after the
+    # first component would set the floor at 4 and stop at the C4
+    c4 = [("a0", "a1"), ("a1", "a2"), ("a2", "a3"), ("a3", "a0")]
+    k3 = [("b0", "b1"), ("b1", "b2"), ("b2", "b0")]
+    g = Graph({v for e in c4 + k3 for v in e}, c4 + k3)
+    assert g.vertices[0] == "a0"
+    assert girth(g) == 3
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_planarity_matches_networkx(seed):
+    rng = random.Random(seed)
+    h = nx.gnp_random_graph(rng.randint(1, 14), rng.uniform(0.05, 0.7), seed=seed)
+    assert is_planar(_from_nx(h)) == nx.check_planarity(h)[0]
+
+
+def test_planarity_matches_networkx_on_dense_bipartite_graphs():
+    crossed = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        h = nx.bipartite.random_graph(
+            rng.randint(2, 7), rng.randint(2, 7), rng.uniform(0.3, 0.9), seed=seed
+        )
+        n, e = h.number_of_nodes(), h.number_of_edges()
+        crossed += 2 * n - 4 < e <= 3 * n - 6
+        assert is_planar(_from_nx(h)) == nx.check_planarity(h)[0], seed
+    # enough of them sit between the two Euler bounds to test the second
+    assert crossed >= 15
+
+
+@pytest.mark.parametrize(
+    "h, planar",
+    [
+        # e = 10 > 3n - 6 = 9
+        pytest.param(nx.complete_graph(5), False, id="K5"),
+        # bipartite, e = 9 > 2n - 4 = 8
+        pytest.param(nx.complete_bipartite_graph(3, 3), False, id="K3,3"),
+        # bipartite, e = 12 = 2n - 4: the bound is strict
+        pytest.param(nx.hypercube_graph(3), True, id="Q3"),
+        # not bipartite, e = 15 <= 3n - 6 = 24: networkx decides
+        pytest.param(nx.petersen_graph(), False, id="Petersen"),
+        pytest.param(nx.complete_graph(1), True, id="K1"),
+        # e = 1 > 3n - 6 = 0, so the bounds need n >= 3
+        pytest.param(nx.complete_graph(2), True, id="K2"),
+    ],
+)
+def test_planarity_at_the_euler_bounds(h, planar):
+    assert nx.check_planarity(h)[0] == planar
+    assert is_planar(_from_nx(h)) == planar
 
 
 def _partitions(k, most=None):

@@ -127,13 +127,25 @@ def _divisors(m):
     return [d for d in range(1, m + 1) if m % d == 0]
 
 
-@pytest.mark.parametrize("p, n, total", [(3, 4, 212), (5, 3, 64), (2, 7, 29212)])
-def test_elementary_abelian_census_is_gaussian_binomials(p, n, total):
+@pytest.mark.parametrize(
+    "p, n, total, edges",
+    [
+        pytest.param(3, 4, 212, 1120, id="3-4-212"),
+        pytest.param(5, 3, 64, 248, id="5-3-64"),
+        pytest.param(2, 7, 29212, 358775, id="2-7-29212"),
+    ],
+)
+def test_elementary_abelian_census_is_gaussian_binomials(p, n, total, edges):
     # a subgroup of Z_p^n of order p^k is a k-dimensional subspace
     want = {p**k: _gaussian_binomial(n, k, p) for k in range(n + 1)}
     assert sum(want.values()) == total
     subs = enumerate_subgroups(parse_group_spec("x".join([f"Z{p}"] * n)))
     assert subs.census() == want
+    # a k-dimensional subspace lies in G(n - k, 1)_p subspaces of one
+    # dimension more
+    covers = sum(_gaussian_binomial(n, k, p) * _gaussian_binomial(n - k, 1, p) for k in range(n))
+    assert covers == edges
+    assert build_lattice(subs).edge_count == edges
 
 
 @pytest.mark.parametrize(

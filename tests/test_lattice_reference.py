@@ -160,7 +160,9 @@ def _abelian_groups(max_order):
 
 
 SMALL = _abelian_groups(64)
-LARGER = ["Z2xZ2xZ2xZ2xZ3xZ3", "Z25xZ25", "Z3xZ3xZ2xZ89"]
+# Z8xZ8xZ4 and Z9xZ9xZ3 have order classes wide enough for build_lattice's
+# element index
+LARGER = ["Z2xZ2xZ2xZ2xZ3xZ3", "Z25xZ25", "Z3xZ3xZ2xZ89", "Z8xZ8xZ4", "Z9xZ9xZ3"]
 
 
 def _assert_same(spec):
