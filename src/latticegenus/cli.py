@@ -125,7 +125,7 @@ def cmd_group(args) -> int:
         doc["lattice"] = lattice.to_json_dict()
         _print_doc(doc)
         return EXIT_OK
-    print(f"{spec.name()}: order {spec.order}, {len(subs.labels())} subgroups")
+    print(f"{spec.name()}: order {spec.order}, {len(subs.subgroups)} subgroups")
     for order in sorted(census):
         print(f"  order {order}: {census[order]}")
     print(f"lattice: {lattice.vertex_count} vertices, {lattice.edge_count} edges")
@@ -265,7 +265,7 @@ def cmd_search(args) -> int:
 
     outcome = search_embedding(g, cfg, progress if cfg.mode == "heuristic" else None)
     if outcome.status == "found":
-        result = verify_certificate(g, outcome.certificate)
+        result = outcome.verified
         if args.json:
             doc = outcome.certificate.to_json_dict()
             doc["evaluations"] = outcome.evaluations

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, GraphError, gn_graph, hn_graph, is_isomorphic, zppq_graph
+from .graphs import Graph, GraphError, _json_array, gn_graph, hn_graph, is_isomorphic, zppq_graph
 from .groups import GroupSpec, _is_prime, build_lattice, enumerate_subgroups
 
 
@@ -88,7 +88,10 @@ class EmbeddingCertificate:
     def from_json_dict(data: dict) -> "EmbeddingCertificate":
         try:
             graph = Graph.from_json_dict(data["graph"])
-            faces = tuple(tuple(str(v) for v in walk) for walk in data["faces"])
+            faces = tuple(
+                tuple(str(v) for v in _json_array(walk, "face"))
+                for walk in _json_array(data["faces"], "faces")
+            )
         except (KeyError, TypeError) as exc:
             raise CertificateError("malformed-json", f"bad certificate JSON: {exc}")
         return EmbeddingCertificate(graph, faces)

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .embeddings import InvariantError
+from .graphs import grid_edge_count, grid_vertex_count
 from .groups import GroupSpec
 
 
@@ -82,15 +83,6 @@ class GenusEstimate:
             "provenance": list(self.provenance),
         }
 
-    @staticmethod
-    def from_json_dict(data: dict) -> "GenusEstimate":
-        return GenusEstimate(
-            int(data["lower"]),
-            None if data.get("upper") is None else int(data["upper"]),
-            bool(data["exact"]),
-            tuple(data.get("provenance", ())),
-        )
-
 
 def euler_lower_bound(v: int, e: int) -> Fraction:
     """Exact rational genus lower bound 1 + e/4 - v/2 for a connected
@@ -110,14 +102,6 @@ def euler_lower_bound_int(v: int, e: int) -> int:
     return max(0, math.ceil(euler_lower_bound(v, e)))
 
 
-def _grid_bound_rational(exponents: tuple[int, ...]) -> Fraction:
-    prod = 1
-    for e in exponents:
-        prod *= e + 1
-    s = sum(Fraction(e, e + 1) for e in exponents)
-    return 1 + Fraction(prod, 2) * (s / 2 - 1)
-
-
 def _check_exponents(exponents: Iterable[int]) -> tuple[int, ...]:
     out = tuple(int(e) for e in exponents)
     if not out or any(e < 1 for e in out):
@@ -131,42 +115,23 @@ def grid_lower_bound(exponents: Iterable[int]) -> int:
     exps = _check_exponents(exponents)
     if len(exps) <= 1:
         raise FormulaError("grid lower bound needs at least two parameters")
-    return max(0, math.ceil(_grid_bound_rational(exps)))
+    return euler_lower_bound_int(grid_vertex_count(exps), grid_edge_count(exps))
 
 
 def white_genus(exponents: Iterable[int]) -> int:
     """Exact genus of a grid graph with at least three parameters, at
-    least three of them odd (lower-embeddable case)."""
+    least three of them odd (lower-embeddable case): such a grid embeds
+    with only 4-faces, so its genus is Euler's bound."""
     exps = _check_exponents(exponents)
     odd = sum(1 for e in exps if e % 2 == 1)
     if len(exps) < 3 or odd < 3:
         raise FormulaError(
             f"need >= 3 parameters with >= 3 odd, got {exps}"
         )
-    value = _grid_bound_rational(exps)
+    value = euler_lower_bound(grid_vertex_count(exps), grid_edge_count(exps))
     if value.denominator != 1:
         raise FormulaError(f"formula gave non-integer {value} for {exps}")
     return max(0, int(value))
-
-
-def genus_n111(n: int) -> int:
-    """Exact genus n for the grid with parameters (n,1,1,1)."""
-    if n < 1:
-        raise FormulaError(f"parameter {n} must be positive")
-    # closed form and the general odd-parameter formula must agree
-    general = white_genus((n, 1, 1, 1))
-    if general != n:
-        raise InvariantError(
-            f"genus_n111({n}) disagrees with white_genus, which gives {general}"
-        )
-    return n
-
-
-def genus_hypercube(k: int) -> int:
-    """Exact genus of the k-dimensional hypercube grid (1,...,1)."""
-    if k < 3:
-        raise FormulaError(f"need k >= 3, got {k}")
-    return 1 + 2 ** (k - 3) * (k - 4)
 
 
 def genus_grid_e1_e2_1(e1: int, e2: int) -> int:

@@ -1,8 +1,8 @@
 """Labeled simple graphs and the constructions used throughout the toolkit.
 
-Vertices are strings and graphs are immutable: every transformation returns a
-new Graph. This module covers construction (paths, Cartesian products, grid
-graphs, the G_n and H_n gadget families, complete bipartite patterns),
+Vertices are strings and graphs are immutable. This module covers
+construction (paths, cycles, grid graphs, the G_n and H_n gadget families,
+complete bipartite patterns),
 structural queries (girth, connectivity, blocks, planarity, isomorphism), and
 graph minors: witness validation and a backtracking branch-set search with
 degree-based kernelization and pattern symmetry broken along a stabilizer
@@ -26,7 +26,6 @@ __all__ = [
     "cycle_graph",
     "complete_bipartite",
     "double_k33_pattern",
-    "cartesian_product",
     "grid_graph",
     "grid_vertex_count",
     "grid_edge_count",
@@ -127,15 +126,6 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph({self.vertex_count} vertices, {self.edge_count} edges)"
 
-    # ---- transformations (each returns a new Graph) ----
-
-    def relabel(self, mapping: dict) -> "Graph":
-        imgs = [mapping.get(v, v) for v in self.vertices]
-        if len(set(imgs)) != len(imgs):
-            raise GraphError("relabeling is not injective")
-        f = {v: str(mapping.get(v, v)) for v in self.vertices}
-        return Graph(f.values(), [(f[u], f[v]) for u, v in self.edges])
-
     # ---- serialization ----
 
     def to_json_dict(self) -> dict:
@@ -144,7 +134,10 @@ class Graph:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Graph":
         try:
-            return cls(data["vertices"], [tuple(e) for e in data["edges"]])
+            return cls(
+                _json_array(data["vertices"], "vertices"),
+                [tuple(_json_array(e, "edge")) for e in _json_array(data["edges"], "edges")],
+            )
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, GraphError):
                 raise
@@ -158,6 +151,14 @@ class Graph:
             lines.append(f'  "{u}" -- "{v}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _json_array(value, what: str):
+    """``value`` if it is a JSON array (list or tuple); anything else, a
+    string included, raises TypeError rather than be read element-wise."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{what} must be an array, not {type(value).__name__}")
+    return value
 
 
 # ============================================================
@@ -193,19 +194,6 @@ def double_k33_pattern() -> Graph:
     verts = ["x", "a1", "a2", "b1", "b2", "b3", "c1", "c2", "d1", "d2", "d3"]
     edges = [(u, v) for u in ("x", "a1", "a2") for v in ("b1", "b2", "b3")]
     edges += [(u, v) for u in ("x", "c1", "c2") for v in ("d1", "d2", "d3")]
-    return Graph(verts, edges)
-
-
-def cartesian_product(g: Graph, h: Graph, sep: str = "|") -> Graph:
-    """Graph Cartesian product; vertex labels are joined with `sep`."""
-    verts = [f"{u}{sep}{v}" for u in g.vertices for v in h.vertices]
-    edges = []
-    for u in g.vertices:
-        for a, b in h.edges:
-            edges.append((f"{u}{sep}{a}", f"{u}{sep}{b}"))
-    for a, b in g.edges:
-        for v in h.vertices:
-            edges.append((f"{a}{sep}{v}", f"{b}{sep}{v}"))
     return Graph(verts, edges)
 
 
@@ -281,16 +269,14 @@ def hn_graph(n: int) -> Graph:
     """
     if n < 2:
         raise GraphError("hn_graph needs n >= 2")
-    g0 = gn_graph(n).relabel(
-        {"a": "a_0", "b": "b_0", "c": "c_0"}
-    )
-    rename1 = {"a": "a_1", "b": "b_1", "c": "c_1"}
-    for i in range(1, n + 1):
-        rename1[f"alpha_{i}"] = f"gamma_{i}"
-        rename1[f"beta_{i}"] = f"delta_{i}"
-    g1 = gn_graph(n).relabel(rename1)
-    verts = list(g0.vertices) + list(g1.vertices)
-    edges = list(g0.edges) + list(g1.edges)
+    verts, edges = [], []
+    for s, x, y in ((0, "alpha", "beta"), (1, "gamma", "delta")):
+        a, b, c = f"a_{s}", f"b_{s}", f"c_{s}"
+        verts += [a, b, c]
+        for i in range(1, n + 1):
+            xi, yi = f"{x}_{i}", f"{y}_{i}"
+            verts += [xi, yi]
+            edges += [(b, xi), (b, yi), (a, xi), (c, yi), (xi, yi)]
     edges += [("a_0", "a_1"), ("b_0", "b_1"), ("c_0", "c_1"), ("b_0", "a_1"), ("c_0", "b_1")]
     return Graph(verts, edges)
 
@@ -481,7 +467,10 @@ class MinorWitness:
     @classmethod
     def from_json_dict(cls, data: dict) -> "MinorWitness":
         try:
-            return cls({str(k): frozenset(map(str, v)) for k, v in data["branch_sets"].items()})
+            return cls({
+                str(k): frozenset(map(str, _json_array(v, "branch set")))
+                for k, v in data["branch_sets"].items()
+            })
         except (KeyError, TypeError, AttributeError) as exc:
             raise GraphError(f"malformed minor witness: {exc}") from exc
 

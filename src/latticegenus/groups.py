@@ -29,7 +29,8 @@ _TRIAL_BOUND = 2 * 10**6
 
 
 class GroupError(ValueError):
-    """Malformed group expression, bad factor, or order over the cap."""
+    """Malformed group expression, bad factor, or order or subgroup count
+    over the cap."""
 
 
 def _is_prime(n: int) -> bool:
@@ -245,9 +246,17 @@ class SubgroupSet:
         }
 
 
-def _primary_subgroups(p: int, moduli: tuple[int, ...]) -> list[list[tuple]]:
+def _check_count(count: int, order_cap: int | None) -> None:
+    if order_cap is not None and count > order_cap:
+        raise GroupError(f"subgroup count exceeds cap {order_cap}")
+
+
+def _primary_subgroups(
+    p: int, moduli: tuple[int, ...], order_cap: int | None
+) -> list[list[tuple]]:
     """Every subgroup of the p-group with cyclic factors ``moduli``, each
-    once, as a list of coordinate tuples.
+    once, as a list of coordinate tuples; raises GroupError rather than
+    list more than ``order_cap`` of them (``None`` lifts the check).
 
     The subgroups of Z_m1 x ... x Z_mn are the lattices L with
     diag(m)·Z^n <= L <= Z^n, and each such L has one upper-triangular row
@@ -308,6 +317,7 @@ def _primary_subgroups(p: int, moduli: tuple[int, ...]) -> list[list[tuple]]:
                 if i:
                     extend(i - 1, [(d, *tail)] + rows, sub)
                 else:
+                    _check_count(len(out) + 1, order_cap)
                     out.append([coords[x] for x in sub])
             d *= p
 
@@ -320,6 +330,9 @@ def enumerate_subgroups(
 ) -> SubgroupSet:
     """Enumerate every subgroup of ``g``.
 
+    ``order_cap`` bounds both the group's order and its subgroup count,
+    the vertex count of its lattice; ``None`` lifts both checks.
+
     A finite abelian group is the product of its p-primary parts, and
     every subgroup is the product of one subgroup of each part.  Each
     part is enumerated by itself; canonical factor order keeps a prime's
@@ -328,9 +341,10 @@ def enumerate_subgroups(
     """
     _check_order(g.order, order_cap)
     parts = [
-        _primary_subgroups(p, tuple(p**k for _, k in group))
+        _primary_subgroups(p, tuple(p**k for _, k in group), order_cap)
         for p, group in itertools.groupby(g.factors, key=lambda f: f[0])
     ]
+    _check_count(math.prod(map(len, parts)), order_cap)
     subgroups = []
     for combo in itertools.product(*parts):
         # prefix products: each part's tuples are concatenated once per

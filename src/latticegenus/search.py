@@ -6,9 +6,9 @@ over rotation systems with an admissible face-count prune (used to
 settle exact genus on small graphs).  Both count faces incrementally:
 a heuristic move retraces only the faces its swap touches, and the DFS
 keeps its closed-face and open-chain tallies up to date as it assigns
-and unassigns rotations.  Both only ever return certificates that pass
-independent verification, so the searches need not be trusted, only
-the verifier.
+and unassigns rotations.  A found certificate is verified once, where
+the search makes it, and the outcome carries the verifier's result, so
+the searches need not be trusted, only the verifier.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .graphs import Graph, block_decomposition, girth, is_planar
 from .embeddings import (
     EmbeddingCertificate,
     InvariantError,
+    VerifiedGenus,
     _Darts,
     verify_certificate,
 )
@@ -70,16 +71,23 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Result of a search: a verified certificate, a proof of absence
-    (exhaustive mode only), or an exhausted budget."""
+    """Result of a search: a certificate with its verified genus, a proof
+    of absence (exhaustive mode only), or an exhausted budget."""
 
     status: str
     certificate: EmbeddingCertificate | None
     evaluations: int
+    verified: VerifiedGenus | None = None
+
+    def __post_init__(self) -> None:
+        if self.status == "found" and (self.certificate is None or self.verified is None):
+            raise InvariantError("search reported found without a verified certificate")
 
     @staticmethod
-    def found(cert: EmbeddingCertificate, evaluations: int) -> "SearchOutcome":
-        return SearchOutcome("found", cert, evaluations)
+    def found(
+        cert: EmbeddingCertificate, verified: VerifiedGenus, evaluations: int
+    ) -> "SearchOutcome":
+        return SearchOutcome("found", cert, evaluations, verified)
 
     @staticmethod
     def exhausted(evaluations: int) -> "SearchOutcome":
@@ -120,15 +128,16 @@ def search_embedding(
     return _search_heuristic(g, cfg, progress)
 
 
-def _certificate_from(g: Graph, darts: _Darts, rotation: list[list[int]],
-                      target: int) -> EmbeddingCertificate:
+def _found(g: Graph, darts: _Darts, rotation: list[list[int]], target: int,
+           evaluations: int) -> SearchOutcome:
+    """The found outcome for a rotation system, its certificate verified."""
     cert = EmbeddingCertificate(g, darts.faces(rotation))
     result = verify_certificate(g, cert)
     if result.genus > target:
         raise InvariantError(
             f"search certificate has genus {result.genus}, above target {target}"
         )
-    return cert
+    return SearchOutcome.found(cert, result, evaluations)
 
 
 def _search_heuristic(
@@ -156,8 +165,7 @@ def _search_heuristic(
         evaluations += 1
         best = faces
         if faces >= f_target:
-            cert = _certificate_from(g, darts, rotation, cfg.target_genus)
-            return SearchOutcome.found(cert, evaluations)
+            return _found(g, darts, rotation, cfg.target_genus, evaluations)
 
         stall = 0
         step = 0
@@ -180,10 +188,10 @@ def _search_heuristic(
                 else:
                     stall += 1
                 if faces >= f_target:
-                    cert = _certificate_from(g, darts, rotation, cfg.target_genus)
+                    outcome = _found(g, darts, rotation, cfg.target_genus, evaluations)
                     if progress is not None:
                         progress(restart, best)
-                    return SearchOutcome.found(cert, evaluations)
+                    return outcome
             else:
                 stall += 1
         if progress is not None:
@@ -295,7 +303,7 @@ def _search_exhaustive(g: Graph, cfg: SearchConfig) -> SearchOutcome:
     state = _PartialRotation(darts)
     rotation: list[list[int] | None] = [None] * nv
     evaluations = 0
-    found: list[EmbeddingCertificate] = []
+    found: list[SearchOutcome] = []
 
     def dfs(pos: int) -> bool:
         nonlocal evaluations
@@ -305,7 +313,7 @@ def _search_exhaustive(g: Graph, cfg: SearchConfig) -> SearchOutcome:
         if pos == nv:
             # with every rotation assigned no chain is open, so the
             # bound() >= f_target that let us in is the exact face count
-            found.append(_certificate_from(g, darts, rotation, cfg.target_genus))
+            found.append(_found(g, darts, rotation, cfg.target_genus, evaluations))
             return True
         v = order[pos]
         nb = g.adj[v]
@@ -323,16 +331,10 @@ def _search_exhaustive(g: Graph, cfg: SearchConfig) -> SearchOutcome:
         return False
 
     if dfs(0):
-        return SearchOutcome.found(found[0], evaluations)
+        return found[0]
     if evaluations >= cfg.budget:
         return SearchOutcome.budget_exceeded(evaluations)
     return SearchOutcome.exhausted(evaluations)
-
-
-def _found_certificate(outcome: SearchOutcome) -> EmbeddingCertificate:
-    if outcome.certificate is None:
-        raise InvariantError("search reported found without a certificate")
-    return outcome.certificate
 
 
 def exact_genus_exhaustive(
@@ -345,8 +347,7 @@ def exact_genus_exhaustive(
             g, SearchConfig(target, mode="exhaustive", budget=budget)
         )
         if outcome.status == "found":
-            cert = _found_certificate(outcome)
-            return verify_certificate(g, cert).genus, cert
+            return outcome.verified.genus, outcome.certificate
         if outcome.status == "budget":
             raise SearchError("budget exhausted before genus was settled")
     raise InvariantError("some rotation system must embed the graph")
@@ -401,7 +402,7 @@ def _exact_genus_block(g: Graph, budget: int, seed: int) -> GenusEstimate:
             g, SearchConfig(target, mode="heuristic", seed=seed, budget=budget)
         )
         if outcome.status == "found":
-            upper = verify_certificate(g, _found_certificate(outcome)).genus
+            upper = outcome.verified.genus
             return GenusEstimate(
                 lower,
                 upper,

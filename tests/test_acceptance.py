@@ -33,8 +33,6 @@ from latticegenus import (
     genus_complete_bipartite,
     genus_grid_e1_2_2,
     genus_grid_e1_e2_1,
-    genus_hypercube,
-    genus_n111,
     girth,
     gn_certificate,
     grid_graph,
@@ -81,7 +79,7 @@ def test_criterion_1_formula_goldens():
         assert genus_grid_e1_e2_1(e1, e2) == 1
         assert classify_cyclic((e1, e2, 1)).label == "Genus1"
         checks += 1
-    assert genus_hypercube(4) == 1
+    assert white_genus((1, 1, 1, 1)) == 1
     assert classify_cyclic((1, 1, 1, 1)).label == "Genus1"
     checks += 1
 
@@ -102,7 +100,7 @@ def test_criterion_1_formula_goldens():
         checks += 1
     # four distinct primes
     for n in (2, 3, 4):
-        assert genus_n111(n) == n
+        assert white_genus((n, 1, 1, 1)) == n
         assert classify_cyclic((n, 1, 1, 1)).label == f"Genus{n}"
         checks += 1
 

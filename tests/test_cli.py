@@ -63,6 +63,39 @@ def test_group_order_cap_is_an_input_error(capsys):
     assert "6 subgroups" in out
 
 
+def test_group_order_cap_bounds_the_subgroup_count(capsys):
+    code, out, _ = run(capsys, "group", "Z2xZ2xZ2xZ2xZ2xZ2", "--order-cap", "2825")
+    assert code == 0
+    assert "2825 subgroups" in out
+    code, out, err = run(capsys, "group", "Z2xZ2xZ2xZ2xZ2xZ2", "--order-cap", "2824")
+    assert code == 2
+    assert out == ""
+    assert err == "error: subgroup count exceeds cap 2824\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["group"], ["bounds"], ["search", "--genus", "1"], ["minor", "k33"]],
+    ids=["group", "bounds", "search", "minor"],
+)
+def test_small_group_with_many_subgroups_is_refused_quickly(argv):
+    # Z2^9 has order 512, under the default cap, but millions of
+    # subgroups: building its lattice would take minutes and gigabytes
+    cmd, *rest = argv
+    argv = [cmd, "x".join(["Z2"] * 9), *rest]
+    src = os.path.dirname(os.path.dirname(latticegenus.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "latticegenus.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=30,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: subgroup count exceeds cap 4096\n"
+
+
 def test_grid_command(capsys):
     code, out, _ = run(capsys, "grid", "3", "2")
     assert code == 0
@@ -153,6 +186,31 @@ def test_verify_one_vertex_certificate_is_a_violation(tmp_path, capsys):
     assert code == 1
     assert out == "violation bad-genus: V-E+F = 1 gives no orientable genus\n"
     assert err == ""
+
+
+def test_verify_refuses_strings_read_as_arrays(tmp_path, capsys):
+    # a string is not a list of one-letter vertices, edges or faces
+    bad = tmp_path / "strings.json"
+    bad.write_text(
+        '{"graph":{"vertices":"abc","edges":["ab","bc","ca"]},"faces":["abc","acb"]}'
+    )
+    code, out, err = run(capsys, "verify", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == "error: malformed graph JSON: vertices must be an array, not str\n"
+
+
+def test_search_certificate_verifies_as_search_reported(tmp_path, capsys):
+    # search prints the genus its own verification gave; verify must
+    # agree with it and with the certificate's face count
+    code, out, _ = run(capsys, "search", "Z4xZ4", "--genus", "1", "--json")
+    assert code == 0
+    found = json.loads(out)
+    cert = tmp_path / "cert.json"
+    cert.write_text(out)
+    code, out, _ = run(capsys, "verify", str(cert), "--json")
+    assert code == 0
+    assert json.loads(out) == {"faces": len(found["faces"]), "genus": found["genus"]}
 
 
 def test_verify_malformed_json_is_an_input_error(tmp_path, capsys):
@@ -488,7 +546,6 @@ def test_invariant_errors_survive_optimized_python():
     script = textwrap.dedent(
         """
         assert False, "stripped under -O, so this never fires"
-        import latticegenus.formulas as formulas
         import latticegenus.search as search
         from latticegenus import (
             EmbeddingCertificate, Graph, InvariantError, SearchOutcome,
@@ -502,9 +559,6 @@ def test_invariant_errors_survive_optimized_python():
                 print(name, "raised")
             else:
                 print(name, "passed")
-
-        formulas.white_genus = lambda exponents: 0
-        check("genus_n111", lambda: formulas.genus_n111(2))
 
         search.search_embedding = lambda g, cfg: SearchOutcome("found", None, 1)
         check("exhaustive", lambda: search.exact_genus_exhaustive(
@@ -532,7 +586,7 @@ def test_invariant_errors_survive_optimized_python():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
-        "genus_n111 raised\nexhaustive raised\nheuristic raised\nverifier raised\n"
+        "exhaustive raised\nheuristic raised\nverifier raised\n"
     )
 
 

@@ -275,6 +275,18 @@ def test_certificate_json_requires_both_keys():
     assert err.value.code == "malformed-json"
 
 
+@pytest.mark.parametrize("key", ["faces", "face"])
+def test_certificate_json_requires_arrays(key):
+    data = gn_certificate(2).to_json_dict()
+    if key == "faces":
+        data["faces"] = "".join(data["faces"][0])
+    else:
+        data["faces"][0] = "".join(data["faces"][0])
+    with pytest.raises(CertificateError) as err:
+        EmbeddingCertificate.from_json_dict(data)
+    assert err.value.code == "malformed-json"
+
+
 def test_fan_expansion_at_width_one_subdivides():
     cert = gn_certificate(2)
     g = cert.graph

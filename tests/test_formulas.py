@@ -28,8 +28,7 @@ from latticegenus import (
     genus_complete_bipartite,
     genus_grid_e1_2_2,
     genus_grid_e1_e2_1,
-    genus_hypercube,
-    genus_n111,
+    grid_graph,
     grid_lower_bound,
     grid_upper_bound,
     lattice_for,
@@ -74,7 +73,6 @@ def test_estimate_merge_rejects_contradiction():
 def test_estimate_json_shape():
     doc = GenusEstimate(1, None, False, ("a", "b")).to_json_dict()
     assert doc == {"lower": 1, "upper": None, "exact": False, "provenance": ["a", "b"]}
-    assert GenusEstimate.from_json_dict(doc) == GenusEstimate(1, None, False, ("a", "b"))
 
 
 # ------------------------------------------------------------ Euler bound
@@ -135,13 +133,17 @@ def test_e1_2_2_formula():
     assert genus_grid_e1_2_2(4) == 4
 
 
+def _hypercube_genus(k):
+    # closed form for the k-cube grid (1, ..., 1), independent of white_genus
+    return 1 + 2 ** (k - 3) * (k - 4)
+
+
 def test_n111_and_hypercube():
-    assert genus_n111(1) == 1
-    assert genus_n111(2) == 2
-    assert genus_n111(4) == 4
-    assert genus_hypercube(3) == 0
-    assert genus_hypercube(4) == 1
-    assert genus_hypercube(5) == 5
+    assert white_genus((2, 1, 1, 1)) == 2
+    assert white_genus((4, 1, 1, 1)) == 4
+    assert white_genus((1, 1, 1)) == _hypercube_genus(3) == 0
+    assert white_genus((1, 1, 1, 1)) == _hypercube_genus(4) == 1
+    assert white_genus((1, 1, 1, 1, 1)) == _hypercube_genus(5) == 5
 
 
 def test_white_genus_goldens():
@@ -166,9 +168,23 @@ def test_white_equals_lower_bound_when_applicable():
 
 def test_n111_hypercube_reduce_to_white():
     for n in range(1, 7):
-        assert genus_n111(n) == white_genus((n, 1, 1, 1))
+        assert white_genus((n, 1, 1, 1)) == n
     for k in range(3, 8):
-        assert genus_hypercube(k) == white_genus((1,) * k)
+        assert white_genus((1,) * k) == _hypercube_genus(k)
+
+
+@pytest.mark.parametrize(
+    "exps",
+    [(1, 1), (3, 2), (5, 4), (2, 2, 1), (3, 2, 2), (3, 3, 3), (4, 3, 1),
+     (1, 1, 1, 1), (2, 2, 1, 1), (3, 1, 1, 1), (2, 2, 2, 2)],
+)
+def test_grid_lower_bound_is_euler_on_the_built_grid(exps):
+    # V and E counted on the graph itself, not from the closed forms
+    g = grid_graph(exps)
+    bound = euler_lower_bound_int(g.vertex_count, g.edge_count)
+    assert grid_lower_bound(exps) == bound
+    if sum(e % 2 for e in exps) >= 3:
+        assert white_genus(exps) == bound
 
 
 def test_grid_lower_bound_goldens():

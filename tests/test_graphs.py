@@ -13,7 +13,6 @@ from latticegenus import (
     GraphError,
     MinorWitness,
     block_decomposition,
-    cartesian_product,
     complete_bipartite,
     cycle_graph,
     double_k33_pattern,
@@ -87,6 +86,23 @@ def test_graph_json_round_trip():
     assert again == g
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"vertices": "abc", "edges": [["a", "b"]]},
+        {"vertices": ["a", "b"], "edges": ["ab"]},
+        {"vertices": ["a", "b"], "edges": "ab"},
+        {"vertices": ["a", "b"], "edges": [{"a": 1, "b": 2}]},
+    ],
+    ids=["vertices-string", "edge-string", "edges-string", "edge-object"],
+)
+def test_graph_json_requires_arrays(doc):
+    # a string or object read element-wise would name vertices that the
+    # document never lists
+    with pytest.raises(GraphError, match="malformed graph JSON"):
+        Graph.from_json_dict(doc)
+
+
 def test_graph_to_dot_mentions_all_edges():
     g = path_graph(2)
     dot = g.to_dot(name="p2")
@@ -128,17 +144,17 @@ def test_double_k33_pattern_shape():
     assert all(is_isomorphic(b, complete_bipartite(3, 3)) for b in blocks)
 
 
-def test_cartesian_product_shape():
-    g = cartesian_product(cycle_graph(3), path_graph(1))
-    assert g.vertex_count == 6
-    assert g.edge_count == 3 * 2 + 1 * 3
-
-
 def test_grid_graph_is_product_of_paths():
     g = grid_graph((3, 2))
     assert g.vertex_count == grid_vertex_count((3, 2)) == 12
     assert g.edge_count == grid_edge_count((3, 2)) == 3 * 3 + 2 * 4
-    direct = cartesian_product(path_graph(3, prefix="a"), path_graph(2, prefix="b"))
+    # brute force: coordinate pairs joined when at L1 distance 1
+    pairs = list(itertools.product(range(4), range(3)))
+    direct = Graph(
+        map(str, pairs),
+        [(str(x), str(y)) for x, y in itertools.combinations(pairs, 2)
+         if abs(x[0] - y[0]) + abs(x[1] - y[1]) == 1],
+    )
     assert is_isomorphic(g, direct) is not None
 
 
@@ -404,3 +420,6 @@ def test_witness_json_round_trip():
     assert MinorWitness.from_json_dict(doc) == witness
     with pytest.raises(GraphError):
         MinorWitness.from_json_dict({"nope": 1})
+    # a string branch set is not the set of its characters
+    with pytest.raises(GraphError, match="branch set must be an array"):
+        MinorWitness.from_json_dict({"branch_sets": {"x": "abc"}})

@@ -139,7 +139,8 @@ def test_elementary_abelian_census_is_gaussian_binomials(p, n, total, edges):
     # a subgroup of Z_p^n of order p^k is a k-dimensional subspace
     want = {p**k: _gaussian_binomial(n, k, p) for k in range(n + 1)}
     assert sum(want.values()) == total
-    subs = enumerate_subgroups(parse_group_spec("x".join([f"Z{p}"] * n)))
+    # Z2^7 has more subgroups than the default cap
+    subs = enumerate_subgroups(parse_group_spec("x".join([f"Z{p}"] * n)), order_cap=None)
     assert subs.census() == want
     # a k-dimensional subspace lies in G(n - k, 1)_p subspaces of one
     # dimension more
@@ -286,6 +287,20 @@ def test_parse_order_cap():
         parse_group_spec("Z8192")
     assert parse_group_spec("Z8192", order_cap=None).order == 8192
     assert parse_group_spec(f"Z{DEFAULT_ORDER_CAP}").order == DEFAULT_ORDER_CAP
+
+
+@pytest.mark.parametrize(
+    "text, count",
+    [("Z2xZ2xZ2xZ2xZ2xZ2", 2825), ("Z2xZ2xZ2xZ2xZ3", 67 * 2)],
+    ids=["one-part", "product-of-parts"],
+)
+def test_order_cap_bounds_the_subgroup_count(text, count):
+    # Z2^4 x Z3 has parts of 67 and 2 subgroups, so only the product
+    # of the part counts passes its cap
+    spec = parse_group_spec(text)
+    assert len(enumerate_subgroups(spec, order_cap=count).subgroups) == count
+    with pytest.raises(GroupError, match=f"subgroup count exceeds cap {count - 1}"):
+        enumerate_subgroups(spec, order_cap=count - 1)
 
 
 def test_classification_needs_no_cap():

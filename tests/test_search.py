@@ -10,8 +10,11 @@ from conftest import brute_force_genus, sample_connected_graphs
 from latticegenus import (
     GenusEstimate,
     Graph,
+    InvariantError,
     SearchConfig,
     SearchError,
+    SearchOutcome,
+    VerifiedGenus,
     complete_bipartite,
     cycle_graph,
     double_k33_pattern,
@@ -75,6 +78,25 @@ def test_k33_torus_found_and_sphere_refuted():
     assert refuted.status == "exhausted"
     assert refuted.certificate is None
     assert refuted.evaluations > 0
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "heuristic"])
+def test_found_outcome_carries_the_verifier_result(mode):
+    g = complete_bipartite(3, 3)
+    outcome = search_embedding(g, SearchConfig(1, mode=mode))
+    assert outcome.status == "found"
+    assert outcome.verified == verify_certificate(g, outcome.certificate)
+
+
+def test_found_outcome_needs_a_verified_certificate():
+    cert = search_embedding(grid_graph((1, 1)), SearchConfig(0)).certificate
+    with pytest.raises(InvariantError):
+        SearchOutcome("found", None, 1)
+    with pytest.raises(InvariantError):
+        SearchOutcome("found", cert, 1)
+    with pytest.raises(InvariantError):
+        SearchOutcome("found", None, 1, VerifiedGenus(2, 0))
+    assert SearchOutcome("budget", None, 1).verified is None
 
 
 def test_exhaustive_budget_runs_out_gracefully():
