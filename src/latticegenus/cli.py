@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--order-cap",
         type=int,
         default=DEFAULT_ORDER_CAP,
-        help=f"largest group order to build a lattice for (default {DEFAULT_ORDER_CAP})",
+        help=f"cap on group order, subgroup count and grid vertices (default {DEFAULT_ORDER_CAP})",
     )
 
     parser = argparse.ArgumentParser(

@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, GraphError, _json_array, gn_graph, hn_graph, is_isomorphic, zppq_graph
+from .graphs import Graph, _json_array, _json_strings, gn_graph, hn_graph
+from .graphs import is_isomorphic, zppq_graph
 from .groups import GroupSpec, _is_prime, build_lattice, enumerate_subgroups
 
 
@@ -89,7 +90,7 @@ class EmbeddingCertificate:
         try:
             graph = Graph.from_json_dict(data["graph"])
             faces = tuple(
-                tuple(str(v) for v in _json_array(walk, "face"))
+                tuple(_json_strings(walk, "face"))
                 for walk in _json_array(data["faces"], "faces")
             )
         except (KeyError, TypeError) as exc:
@@ -475,11 +476,11 @@ def fan_expansion(
         raise CertificateError("edge-absent", f"no edge {edge} in graph")
     if k < 1:
         raise CertificateError("bad-parameter", f"fan width {k} must be positive")
-    w = [str(x) for x in labels]
-    if len(w) != k or len(set(w)) != k or set(w) & set(g.vertices):
+    w = [x for x in labels if isinstance(x, str)]
+    if len(w) != k or len(labels) != k or len(set(w)) != k or set(w) & set(g.vertices):
         raise CertificateError(
             "label-collision",
-            f"need {k} fresh distinct labels, got {labels!r}",
+            f"need {k} fresh distinct string labels, got {labels!r}",
         )
     before = verify_certificate(g, cert)
 

@@ -1,13 +1,13 @@
 """Labeled simple graphs and the constructions used throughout the toolkit.
 
-Vertices are strings and graphs are immutable. This module covers
-construction (paths, cycles, grid graphs, the G_n and H_n gadget families,
-complete bipartite patterns),
-structural queries (girth, connectivity, blocks, planarity, isomorphism), and
-graph minors: witness validation and a backtracking branch-set search with
-degree-based kernelization and pattern symmetry broken along a stabilizer
-chain. A Graph numbers its vertices once (id = index in the sorted
-``vertices``); every engine, the face engine in ``embeddings`` included,
+Graphs are immutable, with distinct string vertices and each edge given once;
+other input is refused, not repaired. This module covers construction (paths,
+cycles, grid graphs, the G_n and H_n gadget families, complete bipartite
+patterns), structural queries (girth, connectivity, blocks, planarity,
+isomorphism), and graph minors: witness validation and a backtracking
+branch-set search with degree-based kernelization and pattern symmetry broken
+along a stabilizer chain. A Graph numbers its vertices once (id = index in the
+sorted ``vertices``); every engine, the face engine in ``embeddings`` included,
 reads that numbering and maps ids back to labels only at its edges.
 """
 
@@ -52,33 +52,44 @@ class GraphError(ValueError):
 # ============================================================
 
 class Graph:
-    """Immutable simple undirected graph with string vertex labels.
-    ``index`` maps each label to its id (its position in ``vertices``) and
-    ``adj[i]`` holds id i's neighbor ids in ascending order; read-only."""
+    """Immutable simple graph on distinct string labels, each edge given once,
+    else GraphError. ``index`` maps each label to its id (its position in
+    ``vertices``); ``adj[i]`` holds id i's neighbor ids in ascending order;
+    read-only."""
 
     __slots__ = ("vertices", "edges", "index", "adj")
 
     def __init__(self, vertices, edges):
-        vs = sorted({str(v) for v in vertices})
+        vs = list(vertices)
+        for v in vs:
+            if not isinstance(v, str):
+                raise GraphError(f"vertex {v!r} is not a string")
+        vs.sort()
         index = {v: i for i, v in enumerate(vs)}
-        es = set()
+        if len(index) < len(vs):
+            v = next(v for v, w in zip(vs, vs[1:]) if v == w)
+            raise GraphError(f"vertex {v!r} is listed twice")
+        nbrs: list[list[int]] = [[] for _ in vs]
         for pair in edges:
             u, v = pair
-            u, v = str(u), str(v)
-            if u == v:
+            try:
+                a, b = index[u], index[v]
+            except (KeyError, TypeError):  # TypeError: an unhashable end
+                raise GraphError(f"edge ({u!r}, {v!r}) leaves the vertex set") from None
+            if a == b:
                 raise GraphError(f"loop edge at {u!r}")
-            if u not in index or v not in index:
-                raise GraphError(f"edge ({u!r}, {v!r}) leaves the vertex set")
-            es.add((u, v) if u <= v else (v, u))
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        for a, row in enumerate(nbrs):
+            row.sort()
+            if len(set(row)) < len(row):
+                b = next(b for b, c in zip(row, row[1:]) if b == c)
+                raise GraphError(f"edge ({vs[a]!r}, {vs[b]!r}) is listed twice")
+        # ids ascend with labels, so this is the (lower, higher) label order
+        es = [(vs[a], vs[b]) for a, row in enumerate(nbrs) for b in row if a < b]
         self.vertices: tuple[str, ...] = tuple(vs)
-        self.edges: tuple[tuple[str, str], ...] = tuple(sorted(es))
+        self.edges: tuple[tuple[str, str], ...] = tuple(es)
         self.index: dict[str, int] = index
-        nbrs: list[list[int]] = [[] for _ in vs]
-        # edges ascend by (lower, higher) end, so each list fills in
-        # ascending order: lower neighbors first, then higher ones
-        for u, v in self.edges:
-            nbrs[index[u]].append(index[v])
-            nbrs[index[v]].append(index[u])
         self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, nbrs))
 
     # ---- basic queries ----
@@ -158,6 +169,14 @@ def _json_array(value, what: str):
     string included, raises TypeError rather than be read element-wise."""
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"{what} must be an array, not {type(value).__name__}")
+    return value
+
+
+def _json_strings(value, what: str):
+    """``value`` if it is a JSON array of strings; else TypeError."""
+    for x in _json_array(value, what):
+        if not isinstance(x, str):
+            raise TypeError(f"{what} entry {x!r} is not a string")
     return value
 
 
@@ -468,7 +487,7 @@ class MinorWitness:
     def from_json_dict(cls, data: dict) -> "MinorWitness":
         try:
             return cls({
-                str(k): frozenset(map(str, _json_array(v, "branch set")))
+                k: frozenset(_json_strings(v, "branch set"))
                 for k, v in data["branch_sets"].items()
             })
         except (KeyError, TypeError, AttributeError) as exc:

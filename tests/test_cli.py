@@ -1,17 +1,29 @@
 """Command-line surface: output shapes, exit codes, determinism."""
 
 import argparse
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
 import textwrap
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latticegenus
-from latticegenus import GenusEstimate, VerifiedGenus, family_genus, parse_group_spec
+from latticegenus import (
+    GenusEstimate,
+    Graph,
+    RotationSystem,
+    VerifiedGenus,
+    family_genus,
+    parse_group_spec,
+    trace_faces,
+)
 from latticegenus.cli import build_parser, main
 
 
@@ -198,6 +210,118 @@ def test_verify_refuses_strings_read_as_arrays(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: malformed graph JSON: vertices must be an array, not str\n"
+
+
+def _triangle(vertices, edges, faces=(("0", "1", "2"), ("0", "2", "1"))):
+    return {"graph": {"vertices": vertices, "edges": edges}, "faces": faces}
+
+
+_TRIANGLE_EDGES = [["0", "1"], ["0", "2"], ["1", "2"]]
+
+# each document once verified as a triangle by coercing or merging what it lists
+_MISLABELLED = {
+    "int-beside-string": _triangle(["0", "1", 1, "2"], _TRIANGLE_EDGES),
+    "repeated-edge": _triangle(["0", "1", "2"], _TRIANGLE_EDGES + [["1", "0"]]),
+    "list-labels": _triangle(
+        [[0], [1], [2]],
+        [[[0], [1]], [[0], [2]], [[1], [2]]],
+        [[[0], [1], [2]], [[0], [2], [1]]],
+    ),
+    "list-face-entry": _triangle(
+        ["0", "1", "2"], _TRIANGLE_EDGES, [[["0"], "1", "2"], ["0", "2", "1"]]
+    ),
+}
+
+
+def _verify_stdin(doc):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "-"])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_input_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_verify_reads_the_triangle_it_lists():
+    assert _verify_stdin(_triangle(["0", "1", "2"], _TRIANGLE_EDGES)) == (
+        0, "genus 0 (2 faces)\n", ""
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_MISLABELLED))
+def test_verify_refuses_labels_it_would_have_to_repair(name):
+    _assert_input_error(*_verify_stdin(_MISLABELLED[name]))
+
+
+def test_verify_refuses_mislabelled_documents_under_optimized_python():
+    src = os.path.dirname(os.path.dirname(latticegenus.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for name, doc in sorted(_MISLABELLED.items()):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "latticegenus.cli", "verify", "-"],
+            input=json.dumps(doc),
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        _assert_input_error(proc.returncode, proc.stdout, proc.stderr)
+
+
+@st.composite
+def _traced_certificates(draw):
+    n = draw(st.integers(3, 7))
+    labels = [str(i) for i in range(n)]
+    # a random spanning tree keeps the graph connected
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    g = Graph(labels, [(labels[i], labels[j]) for i, j in edges])
+    order = {v: tuple(draw(st.permutations(g.neighbors(v)))) for v in g.vertices}
+    return trace_faces(g, RotationSystem(order))
+
+
+def _mislabel(doc, kind, data):
+    """Apply one mutation of ``kind`` to the certificate document in place."""
+    graph = doc["graph"]
+    if kind == "int-label":
+        # one occurrence anywhere: the vertex list, an edge end, a face
+        spots = [(graph["vertices"], i) for i in range(len(graph["vertices"]))]
+        spots += [(e, i) for e in graph["edges"] for i in (0, 1)]
+        spots += [(f, i) for f in doc["faces"] for i in range(len(f))]
+        seq, i = data.draw(st.sampled_from(spots))
+        seq[i] = int(seq[i])
+    elif kind == "repeated-label":
+        v = data.draw(st.sampled_from(graph["vertices"]))
+        graph["vertices"].append(data.draw(st.sampled_from([v, int(v)])))
+    elif kind == "repeated-edge":
+        u, v = data.draw(st.sampled_from(graph["edges"]))
+        graph["edges"].append(data.draw(st.sampled_from([[u, v], [v, u]])))
+    else:
+        face = data.draw(st.sampled_from(doc["faces"]))
+        i = data.draw(st.integers(0, len(face) - 1))
+        face[i] = [face[i]]
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(
+    cert=_traced_certificates(),
+    kind=st.sampled_from(["int-label", "repeated-label", "repeated-edge", "list-face-entry"]),
+    data=st.data(),
+)
+def test_verify_exit_codes_on_mislabelled_certificates(cert, kind, data):
+    g = cert.graph
+    genus = (2 - g.vertex_count + g.edge_count - len(cert.faces)) // 2
+    doc = cert.to_json_dict()
+    assert _verify_stdin(doc) == (0, f"genus {genus} ({len(cert.faces)} faces)\n", "")
+    _mislabel(doc, kind, data)
+    _assert_input_error(*_verify_stdin(doc))
 
 
 def test_search_certificate_verifies_as_search_reported(tmp_path, capsys):

@@ -275,6 +275,15 @@ def test_certificate_json_requires_both_keys():
     assert err.value.code == "malformed-json"
 
 
+@pytest.mark.parametrize("entry", [1, ["a"], None], ids=["int", "list", "null"])
+def test_certificate_json_requires_string_face_entries(entry):
+    data = gn_certificate(2).to_json_dict()
+    data["faces"][0][0] = entry
+    with pytest.raises(CertificateError) as err:
+        EmbeddingCertificate.from_json_dict(data)
+    assert err.value.code == "malformed-json"
+
+
 @pytest.mark.parametrize("key", ["faces", "face"])
 def test_certificate_json_requires_arrays(key):
     data = gn_certificate(2).to_json_dict()
@@ -334,8 +343,8 @@ def test_fan_expansion_rejects_zero_width():
 
 @pytest.mark.parametrize(
     "labels",
-    [["x"], ["x", "x"], ["x", "a"]],
-    ids=["too-few", "repeated", "already-used"],
+    [["x"], ["x", "x"], ["x", "a"], ["x", 1], ["x", ["y"]]],
+    ids=["too-few", "repeated", "already-used", "non-string", "unhashable"],
 )
 def test_fan_expansion_rejects_bad_labels(labels):
     cert = gn_certificate(2)

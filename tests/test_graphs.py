@@ -7,6 +7,8 @@ import time
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticegenus import (
     Graph,
@@ -71,9 +73,60 @@ def test_graph_rejects_bad_edges():
         Graph({"a"}, [("a", "b")])
 
 
-def test_graph_deduplicates_edges():
-    g = Graph({"a", "b"}, [("a", "b"), ("b", "a")])
-    assert g.edges == (("a", "b"),)
+def test_graph_refuses_repeated_edges():
+    # the input lists two edges; storing one would certify another graph
+    for repeat in [("a", "b"), ("b", "a")]:
+        with pytest.raises(GraphError, match=r"edge \('a', 'b'\) is listed twice"):
+            Graph({"a", "b", "c"}, [("a", "b"), ("b", "c"), repeat])
+
+
+def test_graph_refuses_repeated_labels():
+    with pytest.raises(GraphError, match="vertex 'b' is listed twice"):
+        Graph(["a", "b", "c", "b"], [("a", "b")])
+
+
+@pytest.mark.parametrize(
+    "vertices, edges",
+    [
+        (["0", 1, "2"], [("0", "2")]),
+        ([1, "1", "0"], [("0", "1")]),
+        ([("a",), "b"], []),
+        (["a", "b"], [("a", 1)]),
+        (["a", "b"], [(["a"], "b")]),
+    ],
+    ids=["int-vertex", "int-beside-string", "tuple-vertex", "int-end", "list-end"],
+)
+def test_graph_refuses_non_string_labels(vertices, edges):
+    # a label is never coerced: 1 and "1" are not one vertex
+    with pytest.raises(GraphError, match="is not a string|leaves the vertex set"):
+        Graph(vertices, edges)
+
+
+@st.composite
+def _labelled_edge_lists(draw):
+    labels = draw(st.lists(st.text(max_size=3), min_size=1, max_size=8, unique=True))
+    pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1 :]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)]
+    return draw(st.permutations(labels)), draw(st.permutations(edges))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(graph=_labelled_edge_lists())
+def test_graph_edge_order_matches_sorted_label_pairs(graph):
+    # the edge list read off the id rows is the one a sort of the
+    # (lower, higher) label pairs gives, whatever order the input takes
+    vertices, edges = graph
+    g = Graph(vertices, edges)
+    assert g.vertices == tuple(sorted(vertices))
+    assert g.edges == tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
+    nbrs = {v: [] for v in vertices}
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    for v in vertices:
+        assert g.adj[g.index[v]] == tuple(sorted(g.index[w] for w in nbrs[v]))
 
 
 def test_graph_json_round_trip():
@@ -423,3 +476,6 @@ def test_witness_json_round_trip():
     # a string branch set is not the set of its characters
     with pytest.raises(GraphError, match="branch set must be an array"):
         MinorWitness.from_json_dict({"branch_sets": {"x": "abc"}})
+    # nor is an entry coerced to the string it prints as
+    with pytest.raises(GraphError, match="branch set entry 1 is not a string"):
+        MinorWitness.from_json_dict({"branch_sets": {"x": ["a", 1]}})
