@@ -130,21 +130,27 @@ class GroupSpec:
 
 def _prime_power_split(m: int) -> list[tuple[int, int]]:
     """Split ``m`` into (prime, exponent) pairs by trial division up to
-    ``_TRIAL_BOUND``; a cofactor it cannot certify raises GroupError."""
+    ``_TRIAL_BOUND``; a cofactor it cannot certify raises GroupError.
+
+    A cofactor that ``_is_prime`` certifies, exactly below
+    _TRIAL_BOUND**2, ends the split: it is tested once at the start and
+    once after each divisor found, never at each trial divisor.
+    """
     out, n, d = [], m, 2
-    stop = min(math.isqrt(n), _TRIAL_BOUND)
-    while d <= stop:
-        if n % d == 0:
-            k = 0
-            while n % d == 0:
-                n //= d
-                k += 1
-            out.append((d, k))
-            stop = min(math.isqrt(n), _TRIAL_BOUND)
-        d += 1 if d == 2 else 2
-    # a cofactor with no divisor up to d - 1 is prime only below d * d
-    if d * d <= n:
-        raise GroupError(f"cannot factor {m}: no divisor found up to {_TRIAL_BOUND}")
+    while not (n <= _TRIAL_BOUND**2 and _is_prime(n)):
+        stop = min(math.isqrt(n), _TRIAL_BOUND)
+        while d <= stop and n % d:
+            d += 1 if d == 2 else 2
+        if d > stop:
+            # a cofactor with no divisor up to d - 1 is prime only below d * d
+            if d * d <= n:
+                raise GroupError(f"cannot factor {m}: no divisor found up to {_TRIAL_BOUND}")
+            break
+        k = 0
+        while n % d == 0:
+            n //= d
+            k += 1
+        out.append((d, k))
     if n > 1:
         out.append((n, 1))
     return out

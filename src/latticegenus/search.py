@@ -9,6 +9,12 @@ keeps its closed-face and open-chain tallies up to date as it assigns
 and unassigns rotations.  A found certificate is verified once, where
 the search makes it, and the outcome carries the verifier's result, so
 the searches need not be trusted, only the verifier.
+
+No face is shorter than a floor read off the graph in O(V + E): 2 on a
+tree, else 4 if the graph is bipartite, as every subgroup lattice is,
+and 3 if not.  So the 2E darts close at most 2E // floor faces: both
+modes refute a target that needs more before any evaluation, and the
+DFS prune lets its open darts close at most open_darts // floor faces.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .formulas import GenusEstimate, block_additive_genus, euler_lower_bound_int
-from .graphs import Graph, block_decomposition, girth, is_planar
+from .graphs import Graph, _two_colorable, block_decomposition, girth, is_planar
 from .embeddings import (
     EmbeddingCertificate,
     InvariantError,
@@ -72,7 +78,8 @@ class SearchConfig:
 @dataclass(frozen=True)
 class SearchOutcome:
     """Result of a search: a certificate with its verified genus, a proof
-    of absence (exhaustive mode only), or an exhausted budget."""
+    of absence, or an exhausted budget.  Heuristic mode proves absence
+    only by the face ceiling, with zero evaluations."""
 
     status: str
     certificate: EmbeddingCertificate | None
@@ -107,6 +114,17 @@ def _face_target(g: Graph, target_genus: int) -> int:
     return 2 - 2 * target_genus - g.vertex_count + g.edge_count
 
 
+def _face_floor(g: Graph) -> int:
+    """A lower bound on the length of every face of connected g, in
+    O(V + E): 2 for a tree, else the least girth its 2-colouring allows."""
+    # a face walk holding no cycle walks a tree T both ways along each
+    # edge, so at each vertex of T the rotation maps T-neighbours to
+    # T-neighbours; being one cycle, it has no others, and T is all of g
+    if g.edge_count == g.vertex_count - 1:
+        return 2
+    return 4 if _two_colorable(g.adj) else 3
+
+
 def search_embedding(
     g: Graph,
     cfg: SearchConfig,
@@ -119,12 +137,17 @@ def search_embedding(
     cfg.budget evaluations; it is deterministic given cfg.seed.
     ``progress`` (if given) receives (restart, best_face_count) after
     each restart.  Exhaustive mode proves nonexistence when it completes
-    without finding a certificate.
+    without finding a certificate.  Either mode proves it at once when
+    the target needs more faces than the face floor allows.
     """
     if not g.is_connected() or g.edge_count == 0:
         raise SearchError("need a connected graph with at least one edge")
+    floor = _face_floor(g)
+    # the 2E darts make at most 2E // floor faces, fewer than the target
+    if _face_target(g, cfg.target_genus) > 2 * g.edge_count // floor:
+        return SearchOutcome.exhausted(0)
     if cfg.mode == "exhaustive":
-        return _search_exhaustive(g, cfg)
+        return _search_exhaustive(g, cfg, floor)
     return _search_heuristic(g, cfg, progress)
 
 
@@ -213,8 +236,9 @@ class _PartialRotation:
     ``unassign`` reads each link back from those entries.
     """
 
-    def __init__(self, darts: _Darts):
+    def __init__(self, darts: _Darts, floor: int):
         n = darts.count
+        self.floor = floor
         self.dart_id = darts.dart_id
         self.nxt = [-1] * n
         self.first = list(range(n))
@@ -227,9 +251,10 @@ class _PartialRotation:
 
     def bound(self) -> int:
         """Upper bound on the final face count: closed faces plus the
-        best the open chains and unassigned turns could still yield."""
+        best the open chains and unassigned turns could still yield, no
+        face shorter than the floor."""
         return self.closed + min(
-            self.chains, self.open_darts // 2, self.unassigned_degree
+            self.chains, self.open_darts // self.floor, self.unassigned_degree
         )
 
     def assign(self, v: int, rot: list[int]) -> None:
@@ -277,7 +302,7 @@ class _PartialRotation:
         self.unassigned_degree += deg
 
 
-def _search_exhaustive(g: Graph, cfg: SearchConfig) -> SearchOutcome:
+def _search_exhaustive(g: Graph, cfg: SearchConfig, floor: int) -> SearchOutcome:
     if rotation_count(g) > EXHAUSTIVE_THRESHOLD:
         raise SearchError(
             f"{rotation_count(g)} rotation systems exceed the exhaustive "
@@ -300,8 +325,18 @@ def _search_exhaustive(g: Graph, cfg: SearchConfig) -> SearchOutcome:
                 order.append(u)
         qi += 1
 
-    state = _PartialRotation(darts)
+    state = _PartialRotation(darts, floor)
     rotation: list[list[int] | None] = [None] * nv
+    # a vertex of degree <= 2 has one rotation: assign it now, so the DFS
+    # recurses only over the branching vertices, at most 29 of them, as
+    # 2**30 rotation systems would pass EXHAUSTIVE_THRESHOLD
+    branching = []
+    for v in order:
+        if len(g.adj[v]) <= 2:
+            rotation[v] = list(g.adj[v])
+            state.assign(v, rotation[v])
+        else:
+            branching.append(v)
     evaluations = 0
     found: list[SearchOutcome] = []
 
@@ -310,12 +345,12 @@ def _search_exhaustive(g: Graph, cfg: SearchConfig) -> SearchOutcome:
         if evaluations >= cfg.budget:
             return False
         evaluations += 1
-        if pos == nv:
+        if pos == len(branching):
             # with every rotation assigned no chain is open, so the
             # bound() >= f_target that let us in is the exact face count
             found.append(_found(g, darts, rotation, cfg.target_genus, evaluations))
             return True
-        v = order[pos]
+        v = branching[pos]
         nb = g.adj[v]
         first, rest = nb[0], nb[1:]
         for perm in itertools.permutations(rest):
@@ -330,7 +365,7 @@ def _search_exhaustive(g: Graph, cfg: SearchConfig) -> SearchOutcome:
                 break
         return False
 
-    if dfs(0):
+    if state.bound() >= f_target and dfs(0):
         return found[0]
     if evaluations >= cfg.budget:
         return SearchOutcome.budget_exceeded(evaluations)

@@ -92,3 +92,13 @@ def sample_connected_graphs(
             continue
         out.append(Graph(labels, edges))
     return out
+
+
+def petersen_graph() -> Graph:
+    """The Petersen graph: cubic, girth 5, genus 1."""
+    outer = [f"o{i}" for i in range(5)]
+    inner = [f"i{i}" for i in range(5)]
+    edges = [(outer[i], outer[(i + 1) % 5]) for i in range(5)]
+    edges += [(outer[i], inner[i]) for i in range(5)]
+    edges += [(inner[i], inner[(i + 2) % 5]) for i in range(5)]
+    return Graph(outer + inner, edges)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from unittest import mock
 
 import pytest
@@ -467,6 +468,24 @@ def test_search_exhaustive_refuses_threshold_violation(capsys):
     code, _, err = run(capsys, "search", "5,5", "--genus", "0", "--mode", "exhaustive")
     assert code == 2
     assert "exhaustive threshold" in err
+
+
+def test_search_exhaustive_on_a_long_path_exits_zero(capsys):
+    # 1201 vertices, each of degree <= 2: one rotation system and no DFS
+    # level per vertex, so no RecursionError
+    code, out, err = run(capsys, "search", "1200", "--genus", "0", "--mode", "exhaustive")
+    assert (code, err) == (0, "")
+    assert out == "grid 1200: genus-0 embedding with 1 faces (1 evaluations)\n"
+
+
+def test_search_on_a_long_path_takes_no_girth_scan(capsys):
+    # the face floor is O(V + E); a girth scan on this 4001-vertex path
+    # runs a BFS from every vertex and takes seconds
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "search", "4000", "--genus", "0")
+    assert code == 0
+    assert "genus-0 embedding with 1 faces" in out
+    assert time.perf_counter() - start < 2.0
 
 
 def test_search_exhaustive_proves_absence_on_small_graphs(capsys):

@@ -3,9 +3,11 @@ counts of both searches against full recounts, and the searches against
 pinned evaluation counts and faces."""
 
 import json
+import math
 import random
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,8 @@ from latticegenus import (
     zppq_graph,
 )
 from latticegenus.embeddings import _Darts
+
+from conftest import petersen_graph
 
 PINS = json.loads((Path(__file__).parent / "search_pins.json").read_text())
 
@@ -104,10 +108,10 @@ def reference_face_count(darts, rotation):
     return faces
 
 
-def reference_bound(nxt, unassigned_degree):
+def reference_bound(nxt, unassigned_degree, floor):
     """The exhaustive prune's bound as it was before its tallies became
     incremental: three scans over every dart of the partial next array
-    (-1 where the turn is not assigned yet)."""
+    (-1 where the turn is not assigned yet), no face shorter than floor."""
     count = len(nxt)
     # upper bound on the final face count: closed faces plus the
     # best the open chains and unassigned turns could still yield
@@ -136,7 +140,23 @@ def reference_bound(nxt, unassigned_degree):
         while not visited[cur]:
             visited[cur] = 1
             cur = nxt[cur]
-    return closed + min(chains, open_darts // 2, unassigned_degree)
+    return closed + min(chains, open_darts // floor, unassigned_degree)
+
+
+def _nx_graph(g):
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges)
+    return h
+
+
+def reference_floor(g):
+    """The face-length floor from networkx: 2 on a tree, whose one face
+    walks each edge both ways, else the least girth a 2-colouring allows."""
+    h = _nx_graph(g)
+    if nx.girth(h) == math.inf:
+        return 2
+    return 4 if nx.is_bipartite(h) else 3
 
 
 def _check_swaps(g, rng, moves):
@@ -203,13 +223,20 @@ def test_swap_face_counts_equal_a_full_recount_on_random_graphs(g, seed):
     _check_swaps(g, random.Random(seed), 40)
 
 
-def _petersen():
-    outer = [f"o{i}" for i in range(5)]
-    inner = [f"i{i}" for i in range(5)]
-    edges = [(outer[i], outer[(i + 1) % 5]) for i in range(5)]
-    edges += [(outer[i], inner[i]) for i in range(5)]
-    edges += [(inner[i], inner[(i + 2) % 5]) for i in range(5)]
-    return Graph(outer + inner, edges)
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(g=_connected_graphs())
+def test_face_floor_never_exceeds_the_girth(g):
+    floor = search._face_floor(g)
+    assert floor == reference_floor(g)
+    if g.edge_count == g.vertex_count - 1:
+        assert floor == 2
+    else:
+        assert floor <= nx.girth(_nx_graph(g))
+
+
+def test_face_floor_on_a_girth_five_graph():
+    g = petersen_graph()
+    assert (search._face_floor(g), nx.girth(_nx_graph(g))) == (3, 5)
 
 
 @pytest.mark.parametrize(
@@ -217,22 +244,31 @@ def _petersen():
     [
         (lambda: complete_bipartite(3, 3), 1),
         (lambda: complete_bipartite(3, 4), 1),
-        (_petersen, 1),
+        (petersen_graph, 1),
     ],
     ids=["k33", "k34", "petersen"],
 )
 def test_prune_tallies_equal_the_rescan_at_every_node(monkeypatch, build, genus):
+    g = build()
+    floor = reference_floor(g)
     tallied = search._PartialRotation.bound
     checked = []
 
     def rescanned(state):
         value = tallied(state)
-        assert value == reference_bound(state.nxt, state.unassigned_degree)
+        assert value == reference_bound(state.nxt, state.unassigned_degree, floor)
         checked.append(value)
         return value
 
     monkeypatch.setattr(search._PartialRotation, "bound", rescanned)
-    assert exact_genus_exhaustive(build())[0] == genus
+    assert exact_genus_exhaustive(g)[0] == genus
+    # Euler refutes K3,3 and K3,4 on the sphere before any DFS runs, and
+    # their floor of 4 refutes it at the DFS root; with floor 2, still
+    # admissible, the DFS walks the refutation and the tallies are checked
+    floor = 2
+    for target in range(genus):
+        cfg = SearchConfig(target, mode="exhaustive")
+        assert search._search_exhaustive(g, cfg, floor).status == "exhausted"
     assert len(checked) > 10
 
 

@@ -9,6 +9,7 @@ are checked against closed-form subgroup counts.
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -196,6 +197,33 @@ def _is_prime_by_every_divisor(n):
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+def _split_by_trial_division(n, bound=2 * 10**6):
+    """Trial division by 2 and each odd d while d * d <= the cofactor and
+    d <= bound, the cofactor last; None if a cofactor is left that no
+    divisor up to bound certifies."""
+    out, d = [], 2
+    while d * d <= n and d <= bound:
+        k = 0
+        while n % d == 0:
+            n //= d
+            k += 1
+        if k:
+            out.append((d, k))
+        d += 1 if d == 2 else 2
+    if d * d <= n:
+        return None
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _split_or_none(n):
+    try:
+        return _prime_power_split(n)
+    except GroupError:
+        return None
+
+
 def test_prime_power_split_equals_brute_force():
     for n in range(2, 5001):
         assert _prime_power_split(n) == _factor_by_every_divisor(n), n
@@ -204,6 +232,15 @@ def test_prime_power_split_equals_brute_force():
     for p, q in itertools.combinations_with_replacement(near, 2):
         want = [(p, 2)] if p == q else [(p, 1), (q, 1)]
         assert _prime_power_split(p * q) == want
+    # a certified prime cofactor ends the split early: around the bound
+    # squared, a Carmichael number, a cofactor past the bound, a prime
+    # square just above it, and random inputs
+    rng = random.Random(23)
+    edges = [4 * 10**12 - 1, 4 * 10**12, 4 * 10**12 + 1, 561, 10**30 + 57,
+             1999993 * 2000003, 2000003**2, 1000000015753]
+    randoms = [rng.randrange(2, 10**13) for _ in range(12)]
+    for n in [*range(5001, 20000), *edges, *randoms]:
+        assert _split_or_none(n) == _split_by_trial_division(n), n
 
 
 def test_is_prime_equals_a_sieve():

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from conftest import brute_force_genus, sample_connected_graphs
+from conftest import brute_force_genus, petersen_graph, sample_connected_graphs
 from latticegenus import (
     GenusEstimate,
     Graph,
@@ -64,8 +64,13 @@ def test_rotation_count_values():
 
 def test_exhaustive_mode_refuses_huge_rotation_spaces():
     big = complete_bipartite(5, 5)
+    # 11 faces at genus 3 fit under the 50 // 4 = 12 the girth allows, so
+    # only the rotation count stops the search
     with pytest.raises(SearchError):
-        search_embedding(big, SearchConfig(0, mode="exhaustive"))
+        search_embedding(big, SearchConfig(3, mode="exhaustive"))
+    # 17 faces at genus 0 do not: Euler refutes it before the count matters
+    refuted = search_embedding(big, SearchConfig(0, mode="exhaustive"))
+    assert (refuted.status, refuted.evaluations) == ("exhausted", 0)
 
 
 def test_k33_torus_found_and_sphere_refuted():
@@ -74,7 +79,16 @@ def test_k33_torus_found_and_sphere_refuted():
     assert found.status == "found"
     assert verify_certificate(g, found.certificate).genus == 1
 
+    # a sphere embedding would need 5 quadrilaterals from 18 darts
     refuted = search_embedding(g, SearchConfig(0, mode="exhaustive"))
+    assert refuted.status == "exhausted"
+    assert refuted.certificate is None
+    assert refuted.evaluations == 0
+
+    # with the chord L1-L2 it has a triangle, and 6 faces fit in 20
+    # darts, so only the DFS refutes the sphere
+    chorded = Graph(g.vertices, [*g.edges, ("L1", "L2")])
+    refuted = search_embedding(chorded, SearchConfig(0, mode="exhaustive"))
     assert refuted.status == "exhausted"
     assert refuted.certificate is None
     assert refuted.evaluations > 0
@@ -100,8 +114,9 @@ def test_found_outcome_needs_a_verified_certificate():
 
 
 def test_exhaustive_budget_runs_out_gracefully():
-    g = complete_bipartite(3, 3)
-    outcome = search_embedding(g, SearchConfig(0, mode="exhaustive", budget=3))
+    # genus 2, so the torus is refuted only after tens of thousands of nodes
+    g = double_k33_pattern()
+    outcome = search_embedding(g, SearchConfig(1, mode="exhaustive", budget=3))
     assert outcome.status == "budget"
     assert outcome.certificate is None
 
@@ -134,7 +149,8 @@ def test_heuristic_search_is_reproducible():
 
 
 def test_progress_callback_sees_each_restart():
-    g = complete_bipartite(3, 3)
+    # 11 faces at genus 0, under the 48 // 4 = 12 that Euler allows
+    g = lattice_for("Z4xZ4")
     seen = []
     outcome = search_embedding(
         g,
@@ -145,7 +161,7 @@ def test_progress_callback_sees_each_restart():
     # that stall early leave budget for more than sixteen of them
     assert outcome.status == "budget"
     assert outcome.evaluations == 300_000
-    assert [r for r, _ in seen] == list(range(25))
+    assert [r for r, _ in seen] == list(range(24))
     assert all(isinstance(best, int) and best >= 1 for _, best in seen)
 
 
@@ -171,6 +187,64 @@ def test_exact_exhaustive_matches_the_oracle_on_a_sample():
         value, cert = exact_genus_exhaustive(g)
         assert value == brute_force_genus(g)
         assert verify_certificate(g, cert).genus == value
+
+
+def _with_pendants(g, count):
+    """g with a path of ``count`` new vertices hung off its first vertex."""
+    tail = [g.vertices[0], *(f"p{i}" for i in range(count))]
+    return Graph([*g.vertices, *tail[1:]], [*g.edges, *zip(tail, tail[1:])])
+
+
+def _ceiling_sample():
+    """The oracle sample plus the shapes the face floor treats apart:
+    trees (floor 2), cycles, girth 5, pendant vertices, and bipartite
+    graphs Euler refutes on the sphere."""
+    k4 = Graph("abcd", [(u, v) for u, v in itertools.combinations("abcd", 2)])
+    star = Graph("habcd", [("h", x) for x in "abcd"])
+    return [
+        *sample_connected_graphs(25),
+        path_graph(1, prefix="P"),
+        path_graph(6, prefix="P"),
+        star,
+        _with_pendants(star, 2),
+        cycle_graph(3, prefix="C"),
+        cycle_graph(6, prefix="C"),
+        petersen_graph(),
+        _with_pendants(k4, 1),
+        _with_pendants(complete_bipartite(3, 3), 2),
+        complete_bipartite(3, 3),
+        complete_bipartite(3, 4),
+    ]
+
+
+def test_face_ceiling_agrees_with_the_oracle_in_both_modes():
+    ceiling_refutations = 0
+    for g in _ceiling_sample():
+        genus = brute_force_genus(g)
+        for target in range(genus + 1):
+            exhaustive = search_embedding(g, SearchConfig(target, mode="exhaustive"))
+            heuristic = search_embedding(g, SearchConfig(target, budget=2000))
+            if target < genus:
+                assert exhaustive.status == "exhausted"
+                assert heuristic.status in ("exhausted", "budget")
+            else:
+                assert exhaustive.status == "found"
+                assert exhaustive.verified.genus == genus
+                assert heuristic.status != "exhausted"
+            # the heuristic refutes only through the ceiling, which
+            # decides both modes alike and before any evaluation
+            if heuristic.status == "exhausted":
+                assert heuristic.evaluations == 0 == exhaustive.evaluations
+                ceiling_refutations += 1
+    assert ceiling_refutations >= 3
+
+
+def test_exhaustive_search_assigns_forced_vertices_without_recursing():
+    # one rotation system, 4000 vertices of degree 2: far deeper than
+    # the interpreter's recursion limit if each vertex were a DFS level
+    outcome = search_embedding(cycle_graph(4000), SearchConfig(0, mode="exhaustive"))
+    assert (outcome.status, outcome.evaluations) == ("found", 1)
+    assert outcome.verified.genus == 0
 
 
 def test_genus_is_monotone_under_edge_removal():
