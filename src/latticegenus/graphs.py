@@ -631,15 +631,19 @@ def find_minor(
 ) -> MinorSearchResult:
     """Backtracking branch-set search for pattern as a minor of host.
 
-    One depth-first pass over kernel bitmasks: pattern vertices are placed
-    in a most-constrained-first order, candidate branch sets grow in a
+    Depth-first passes over kernel bitmasks, the k-th pass allowing branch
+    sets of at most k kernel vertices: pattern vertices are placed in a
+    most-constrained-first order, candidate branch sets grow in a
     canonical anchor-then-frontier order, and wherever the stabilizer of
     levels 0..ell-1 sends level ell to level j, level j's branch set must
     have the larger minimum vertex, as in the lex-least of any witness's
     images under the pattern's automorphisms, so symmetric assignments
     are tried once. Deterministic, so the first witness found is stable.
-    The result's `exhausted` flag is True only when the pass finished
-    within budget, which proves the pattern is not a minor.
+    The result's `exhausted` flag is True only when a pass finished
+    within budget without its cap ever cutting a branch set short: that
+    pass searched the whole tree, which proves the pattern is not a minor.
+    `nodes` counts branch-set candidates over all passes; a search the
+    budget stops reports exactly `budget`.
     """
     if budget <= 0:
         raise GraphError("budget must be positive")
@@ -698,6 +702,62 @@ def find_minor(
     witness_box: list[list[int]] = []
     size_capped = False
     max_size = nk
+    # the active placement's context, one slot per level: place(i) fills
+    # slot i before its first grow(i, ...) and every grow(i, ...) returns
+    # before place(i) does, while deeper levels write only deeper slots,
+    # so slot i holds level i's context whenever grow(i, ...) reads it
+    free_at = [0] * npat
+    used_at = [0] * npat
+    region_at = [0] * npat
+    rest_at: list[list[tuple[int, int]]] = [[] for _ in range(npat)]
+    slack_at = [0] * npat
+    capped_at = [False] * npat
+
+    # outdeg: degree sum of cur less the two ends of each spanning-tree
+    # edge, an upper bound on the host edges leaving cur
+    def grow(i: int, cur: int, curadj: int, frontier: int, banned: int,
+             size: int, outdeg: int) -> bool:
+        nonlocal nodes, size_capped
+        if nodes == budget:
+            raise _Budget
+        nodes += 1
+        # a required neighbor whose remaining contact zone is banned or
+        # swallowed can never be reached by any extension of this set
+        touches_all = True
+        for rmask, radj in rest_at[i]:
+            if not curadj & rmask:
+                if not radj & ~(banned | cur):
+                    return False
+                touches_all = False
+        if touches_all and outdeg >= pdeg[i]:
+            nfree = free_at[i] & ~cur
+            setadj[i] = curadj
+            for r, k in fut[i]:
+                if (setadj[r] & nfree).bit_count() < k:
+                    break
+            else:
+                sets[i] = cur
+                if place(i + 1, nfree, used_at[i] + size):
+                    return True
+                sets[i] = 0
+        if size >= slack_at[i]:
+            if capped_at[i] and frontier:
+                size_capped = True
+            return False
+        # the frontier is disjoint from cur and banned, and its bits
+        # leave it (and avail) as they are tried, lowest first
+        ext = frontier
+        avail = region_at[i] & ~(banned | cur)
+        while ext:
+            vb = ext & -ext
+            ext ^= vb
+            avail ^= vb
+            nv, dv = by_bit[vb]
+            if grow(i, cur | vb, curadj | nv, ext | (nv & avail), banned,
+                    size + 1, outdeg + dv):
+                return True
+            banned |= vb
+        return False
 
     def place(i: int, free: int, used: int) -> bool:
         if i == npat:
@@ -718,56 +778,13 @@ def find_minor(
         amask = setadj[req[0]] & region if req else region
         if not amask:
             return False
-        capped_level = max_size < true_slack
-        slack = max_size if capped_level else true_slack
-        rest = [(sets[r], setadj[r] & region) for r in req[1:]]
-        pd, futs = pdeg[i], fut[i]
-
-        # outdeg: degree sum of cur less the two ends of each spanning-tree
-        # edge, an upper bound on the host edges leaving cur
-        def grow(cur: int, curadj: int, frontier: int, banned: int,
-                 size: int, outdeg: int) -> bool:
-            nonlocal nodes, size_capped
-            nodes += 1
-            if nodes > budget:
-                raise _Budget
-            # a required neighbor whose remaining contact zone is banned or
-            # swallowed can never be reached by any extension of this set
-            touches_all = True
-            for rmask, radj in rest:
-                if not curadj & rmask:
-                    if not radj & ~(banned | cur):
-                        return False
-                    touches_all = False
-            if touches_all and outdeg >= pd:
-                nfree = free & ~cur
-                setadj[i] = curadj
-                for r, k in futs:
-                    if (setadj[r] & nfree).bit_count() < k:
-                        break
-                else:
-                    sets[i] = cur
-                    if place(i + 1, nfree, used + size):
-                        return True
-                    sets[i] = 0
-            if size >= slack:
-                if capped_level and frontier:
-                    size_capped = True
-                return False
-            # the frontier is disjoint from cur and banned, and its bits
-            # leave it (and avail) as they are tried, lowest first
-            ext = frontier
-            avail = region & ~(banned | cur)
-            while ext:
-                vb = ext & -ext
-                ext ^= vb
-                avail ^= vb
-                nv, dv = by_bit[vb]
-                if grow(cur | vb, curadj | nv, ext | (nv & avail), banned,
-                        size + 1, outdeg + dv):
-                    return True
-                banned |= vb
-            return False
+        capped = max_size < true_slack
+        free_at[i] = free
+        used_at[i] = used
+        region_at[i] = region
+        rest_at[i] = [(sets[r], setadj[r] & region) for r in req[1:]]
+        slack_at[i] = max_size if capped else true_slack
+        capped_at[i] = capped
 
         banned = 0
         for dm in deg_classes:
@@ -776,7 +793,7 @@ def find_minor(
                 ab = todo & -todo
                 todo ^= ab
                 a = ab.bit_length() - 1
-                if grow(ab, nbr[a], nbr[a] & region & ~banned, banned, 1, deg[a]):
+                if grow(i, ab, nbr[a], nbr[a] & region & ~banned, banned, 1, deg[a]):
                     return True
                 banned |= ab
         return False

@@ -520,7 +520,10 @@ def test_minor_absence_proof_exits_zero(capsys):
 def test_minor_budget_exhaustion_is_inconclusive(capsys):
     code, out, _ = run(capsys, "minor", "Z16xZ4", "bowtie", "--budget", "10")
     assert code == 3
-    assert "inconclusive" in out
+    assert out == "Z16xZ4: budget exhausted, inconclusive (10 nodes searched)\n"
+    code, out, _ = run(capsys, "minor", "Z4xZ4", "k5", "--budget", "100")
+    assert code == 3
+    assert out == "Z4xZ4: budget exhausted, inconclusive (100 nodes searched)\n"
 
 
 def test_input_errors_exit_two(capsys):

@@ -101,8 +101,9 @@ def _subdivided_k33_with_pendants() -> Graph:
 # (host, pattern, budget): crosscheck rows cheap enough to replay,
 # Kuratowski witnesses and absence proofs in small lattices and grids, a
 # budget stop, degree-2 patterns (searched without kernelization),
-# random hosts whose witnesses pull in kernel-path interiors, and
-# absence proofs in decorated planar grids
+# random hosts whose witnesses pull in kernel-path interiors, absence
+# proofs in decorated planar grids, and the dearest searches: the large
+# witness hunts and the absence proofs that theory settles
 PIN_CASES = [
     ("Z16xZ4", "bowtie", 10**7),
     ("Z8xZ2xZ3", "bowtie", 10**7),
@@ -126,7 +127,13 @@ PIN_CASES = [
 ] + [
     (f"random-{seed}", pattern, 10**6)
     for seed, pattern in zip(range(8), ("k33", "k5", "k4", "k33", "k23", "k4", "c4", "k5"))
-] + [("planar-0", "k5", 10**6), ("planar-1", "k33", 10**6)]
+] + [("planar-0", "k5", 10**6), ("planar-1", "k33", 10**6)] + [
+    (host, pattern, 10**7)
+    for host, pattern in (
+        ("Z8xZ8", "bowtie"), ("Z27xZ27", "bowtie"), ("Z3xZ3xZ4", "k64"), ("Z60", "k33"),
+        ("Z72", "k5"), ("Z8xZ4", "bowtie"), ("Z9xZ9", "bowtie"), ("Z8xZ4", "k64"),
+    )
+]
 
 
 def _pin_host(name: str) -> Graph:
@@ -268,6 +275,17 @@ def test_search_is_pinned(host, pattern, budget):
     pins = json.loads(PINS_PATH.read_text(encoding="utf-8"))
     want = pins[f"{host} {pattern} {budget}"]
     assert _pin(_pin_host(host), pattern, budget) == want
+
+
+@pytest.mark.parametrize("host,pattern", [("Z16xZ4", "bowtie"), ("Z4xZ4", "k5")])
+def test_budget_of_exactly_the_nodes_needed_suffices(host, pattern):
+    # a found case and an absence proof: the search that needs n nodes
+    # finishes on budget n, and budget n - 1 stops it after n - 1 nodes
+    want = json.loads(PINS_PATH.read_text(encoding="utf-8"))[f"{host} {pattern} {10**7}"]
+    n = want["nodes"]
+    g = lattice_for(host)
+    assert _pin(g, pattern, n) == want
+    assert _pin(g, pattern, n - 1) == {"exhausted": False, "nodes": n - 1, "witness": None}
 
 
 def test_pins_cover_every_case_and_kind():
