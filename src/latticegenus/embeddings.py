@@ -193,9 +193,11 @@ class _Darts:
     ``g.adj`` is read as is; dart ids follow sorted (tail, head) ids.
 
     Faces are the cycles of a ``next`` array over dart ids.  A search
-    keeps one such array and moves through rotations by ``swap``, which
-    rewrites three entries; ``swap_delta`` gives the move's change in
-    face count by tracing at most two of the faces it touches."""
+    keeps one such array, with the rotation's in-dart rows beside it,
+    and moves through rotations by ``swap``, which rewrites three
+    entries; ``swap_delta`` gives the move's change in face count from
+    the three in-darts the move turns, by tracing at most two of the
+    faces they lie on."""
 
     def __init__(self, g: Graph):
         self.vertices = g.vertices
@@ -241,24 +243,23 @@ class _Darts:
             for cycle in self.orbits(self.next_array(rotation))
         )
 
-    def swap_delta(self, nxt: list[int], rotation: list[list[int]],
-                   v: int, i: int) -> int:
-        """Change in face count if ``swap(nxt, rotation, v, i)`` ran; v
-        must have degree at least 3.
-
-        With rot = rotation[v] reading a, b, c, e around i (a == e at
-        degree 3), the swap sends x = (a,v), y = (b,v) and z = (c,v) to
-        the old targets of y, z and x: the new next array is the old one
-        composed with the 3-cycle (x y z).  That merges three distinct
-        faces into one (-2), splits a face met in the order x, z, y into
-        three (+2), and otherwise keeps the count (0).
-        """
-        rot = rotation[v]
-        deg = len(rot)
+    def in_rows(self, rotation: list[list[int]]) -> list[list[int]]:
+        """Per vertex v, the ids of the darts (u,v) into v, u in rotation
+        order: the rows a search keeps beside ``rotation``."""
         ids = self.dart_id
-        x = ids[rot[i - 1]][v]
-        y = ids[rot[i]][v]
-        z = ids[rot[(i + 1) % deg]][v]
+        return [[ids[u][v] for u in rot] for v, rot in enumerate(rotation)]
+
+    def swap_delta(self, nxt: list[int], x: int, y: int, z: int) -> int:
+        """Change in face count if ``swap`` traded b and c, where a, b, c
+        are consecutive in v's rotation (v of degree at least 3) and
+        x = (a,v), y = (b,v), z = (c,v) the matching in-dart row entries.
+
+        The swap sends x, y and z to the old targets of y, z and x: the
+        new next array is the old one composed with the 3-cycle (x y z).
+        That merges three distinct faces into one (-2), splits a face met
+        in the order x, z, y into three (+2), and otherwise keeps the
+        count (0).
+        """
         cur = nxt[x]
         while cur != x:
             if cur == y:
@@ -281,19 +282,17 @@ class _Darts:
         return -2
 
     def swap(self, nxt: list[int], rotation: list[list[int]],
-             v: int, i: int) -> None:
-        """Trade rot[i] and rot[i+1] (cyclically) in rot = rotation[v] and
-        rewrite the three entries of nxt that change.  Running it twice
-        restores both."""
+             inrot: list[list[int]], v: int, i: int) -> None:
+        """Trade entries i and i+1 (cyclically) of rotation[v] and of its
+        in-dart row inrot[v], and rewrite the three entries of nxt that
+        change.  Running it twice restores all three."""
         rot = rotation[v]
-        deg = len(rot)
-        j = (i + 1) % deg
+        row = inrot[v]
+        j = i + 1 if i + 1 < len(row) else 0
+        x, y, z = row[i - 1], row[i], row[j]
+        nxt[x], nxt[y], nxt[z] = nxt[y], nxt[z], nxt[x]
         rot[i], rot[j] = rot[j], rot[i]
-        ids = self.dart_id
-        row = ids[v]
-        nxt[ids[rot[i - 1]][v]] = row[rot[i]]
-        nxt[ids[rot[i]][v]] = row[rot[j]]
-        nxt[ids[rot[j]][v]] = row[rot[(j + 1) % deg]]
+        row[i], row[j] = z, y
 
 
 def trace_faces(g: Graph, rot: RotationSystem) -> EmbeddingCertificate:

@@ -10,11 +10,18 @@ and unassigns rotations.  A found certificate is verified once, where
 the search makes it, and the outcome carries the verifier's result, so
 the searches need not be trusted, only the verifier.
 
+The heuristic draws each move's vertex and position from
+``getrandbits`` by the rejection loop that ``randrange`` runs, so a
+seed gives the values, the evaluations and the faces that
+``randrange`` would; it reads a move's three darts from in-dart rows
+it keeps beside the rotation.
+
 No face is shorter than a floor read off the graph in O(V + E): 2 on a
 tree, else 4 if the graph is bipartite, as every subgroup lattice is,
 and 3 if not.  So the 2E darts close at most 2E // floor faces: both
 modes refute a target that needs more before any evaluation, and the
 DFS prune lets its open darts close at most open_darts // floor faces.
+Both also refute genus 0 on a nonplanar graph before any evaluation.
 """
 
 from __future__ import annotations
@@ -138,13 +145,17 @@ def search_embedding(
     ``progress`` (if given) receives (restart, best_face_count) after
     each restart.  Exhaustive mode proves nonexistence when it completes
     without finding a certificate.  Either mode proves it at once when
-    the target needs more faces than the face floor allows.
+    the target needs more faces than the face floor allows, or when the
+    target is genus 0 and g is not planar.
     """
     if not g.is_connected() or g.edge_count == 0:
         raise SearchError("need a connected graph with at least one edge")
     floor = _face_floor(g)
     # the 2E darts make at most 2E // floor faces, fewer than the target
     if _face_target(g, cfg.target_genus) > 2 * g.edge_count // floor:
+        return SearchOutcome.exhausted(0)
+    # genus 0 is planarity, which is_planar settles without a search
+    if cfg.target_genus == 0 and not is_planar(g):
         return SearchOutcome.exhausted(0)
     if cfg.mode == "exhaustive":
         return _search_exhaustive(g, cfg, floor)
@@ -167,12 +178,18 @@ def _search_heuristic(
     g: Graph, cfg: SearchConfig, progress: Callable[[int, int], None] | None
 ) -> SearchOutcome:
     darts = _Darts(g)
+    swap_delta = darts.swap_delta
     f_target = _face_target(g, cfg.target_genus)
     slice_budget = max(1, cfg.budget // _BUDGET_SLICES)
     # never empty here: a connected graph with no vertex of degree >= 3
     # is a path or a cycle, of genus 0, so its first evaluation meets
     # every target
     movable = [v for v, nb in enumerate(g.adj) if len(nb) >= 3]
+    n_movable = len(movable)
+    # a move's vertex and position are drawn as randrange(n) draws them:
+    # getrandbits(n.bit_length()) until the draw falls below n, so a seed
+    # gives the values, and the outcome, that randrange would
+    k_movable = n_movable.bit_length()
     evaluations = 0
     restart = 0
 
@@ -180,9 +197,13 @@ def _search_heuristic(
         # each restart gets one slice of the budget, the last what is left
         stop = min(evaluations + slice_budget, cfg.budget)
         rng = random.Random(cfg.seed * 1_000_003 + restart)
+        getrandbits = rng.getrandbits
         rotation = [list(nb) for nb in g.adj]
         for rot in rotation:
             rng.shuffle(rot)
+        # inrot[v] holds the darts (u,v) for u in rotation[v]'s order;
+        # darts.swap keeps the two in step
+        inrot = darts.in_rows(rotation)
         nxt = darts.next_array(rotation)
         faces = len(darts.orbits(nxt))
         evaluations += 1
@@ -193,18 +214,26 @@ def _search_heuristic(
         stall = 0
         step = 0
         while evaluations < stop and stall < _STALL_CUTOFF:
-            v = movable[rng.randrange(len(movable))]
-            i = rng.randrange(len(rotation[v]))
+            r = getrandbits(k_movable)
+            while r >= n_movable:
+                r = getrandbits(k_movable)
+            v = movable[r]
+            row = inrot[v]
+            deg = len(row)
+            k = deg.bit_length()
+            i = getrandbits(k)
+            while i >= deg:
+                i = getrandbits(k)
             # a rejected move is never applied, so it needs no undo
-            new_faces = faces + darts.swap_delta(nxt, rotation, v, i)
+            delta = swap_delta(nxt, row[i - 1], row[i], row[i + 1 if i + 1 < deg else 0])
             evaluations += 1
             step += 1
-            temp = max(0.02, 1.5 * (0.9997**step))
-            if new_faces >= faces or rng.random() < math.exp(
-                (new_faces - faces) / temp
+            # the temperature matters only to a move that loses faces
+            if delta >= 0 or rng.random() < math.exp(
+                delta / max(0.02, 1.5 * (0.9997**step))
             ):
-                darts.swap(nxt, rotation, v, i)
-                faces = new_faces
+                darts.swap(nxt, rotation, inrot, v, i)
+                faces += delta
                 if faces > best:
                     best = faces
                     stall = 0

@@ -432,14 +432,16 @@ def test_search_json_is_byte_identical_across_runs(capsys):
 
 
 def test_search_unreachable_target_exhausts_budget(capsys):
+    # Z9xZ2xZ2 has genus >= 2, which neither planarity nor the face
+    # floor shows at genus 1
     code, out, _ = run(
-        capsys, "search", "Z4xZ4", "--genus", "0", "--budget", "2000"
+        capsys, "search", "Z9xZ2xZ2", "--genus", "1", "--budget", "2000"
     )
     assert code == 3
     assert "inconclusive" in out
     # 3000 is no multiple of 16: the last restart gets what is left
     code, out, _ = run(
-        capsys, "search", "Z4xZ4", "--genus", "0", "--budget", "3000", "--json"
+        capsys, "search", "Z9xZ2xZ2", "--genus", "1", "--budget", "3000", "--json"
     )
     assert code == 3
     assert json.loads(out) == {"evaluations": 3000, "status": "budget"}

@@ -9,6 +9,7 @@ Re-record it (and review the diff) with
     PYTHONPATH=src python tests/test_minors.py --record
 """
 
+import functools
 import itertools
 import json
 import random
@@ -148,8 +149,16 @@ def _pin_host(name: str) -> Graph:
     return lattice_for(name)
 
 
-def _pin(host: Graph, pattern: str, budget: int) -> dict:
-    result = find_minor(host, PATTERNS[pattern](), budget)
+@functools.cache
+def _search(host: str, pattern: str, budget: int) -> MinorSearchResult:
+    """find_minor on a named host, run once per (host, pattern, budget) in
+    this module: the witness tests and the pins share the dear searches
+    (5 011 023 nodes for Z8xZ8 bowtie, 2 450 958 for Z3xZ3xZ4 k64)."""
+    return find_minor(_pin_host(host), PATTERNS[pattern](), budget)
+
+
+def _pin(host: str, pattern: str, budget: int) -> dict:
+    result = _search(host, pattern, budget)
     return {
         "exhausted": result.exhausted,
         "nodes": result.nodes,
@@ -209,7 +218,7 @@ def test_planar_grid_has_no_kuratowski_minor():
 def test_double_k33_witness_in_rank_two_lattices(name):
     host = lattice_for(name)
     pattern = double_k33_pattern()
-    result = find_minor(host, pattern, budget=10**7)
+    result = _search(name, "bowtie", 10**7)
     assert result.witness is not None
     assert result.nodes <= 10**7
     validate_minor_witness(host, pattern, result.witness)
@@ -218,7 +227,7 @@ def test_double_k33_witness_in_rank_two_lattices(name):
 def test_k64_witness_in_z3z3z4():
     host = lattice_for("Z3xZ3xZ4")
     pattern = complete_bipartite(6, 4)
-    result = find_minor(host, pattern, budget=10**7)
+    result = _search("Z3xZ3xZ4", "k64", 10**7)
     assert result.witness is not None
     validate_minor_witness(host, pattern, result.witness)
 
@@ -274,7 +283,7 @@ def test_low_degree_patterns_search_the_whole_host(pattern):
 def test_search_is_pinned(host, pattern, budget):
     pins = json.loads(PINS_PATH.read_text(encoding="utf-8"))
     want = pins[f"{host} {pattern} {budget}"]
-    assert _pin(_pin_host(host), pattern, budget) == want
+    assert _pin(host, pattern, budget) == want
 
 
 @pytest.mark.parametrize("host,pattern", [("Z16xZ4", "bowtie"), ("Z4xZ4", "k5")])
@@ -283,9 +292,8 @@ def test_budget_of_exactly_the_nodes_needed_suffices(host, pattern):
     # finishes on budget n, and budget n - 1 stops it after n - 1 nodes
     want = json.loads(PINS_PATH.read_text(encoding="utf-8"))[f"{host} {pattern} {10**7}"]
     n = want["nodes"]
-    g = lattice_for(host)
-    assert _pin(g, pattern, n) == want
-    assert _pin(g, pattern, n - 1) == {"exhausted": False, "nodes": n - 1, "witness": None}
+    assert _pin(host, pattern, n) == want
+    assert _pin(host, pattern, n - 1) == {"exhausted": False, "nodes": n - 1, "witness": None}
 
 
 def test_pins_cover_every_case_and_kind():
@@ -362,7 +370,7 @@ def test_symmetry_constraints_of_complete_bipartite(m, n):
 
 def record() -> None:
     pins = {
-        f"{h} {p} {b}": _pin(_pin_host(h), p, b) for h, p, b in PIN_CASES
+        f"{h} {p} {b}": _pin(h, p, b) for h, p, b in PIN_CASES
     }
     PINS_PATH.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 

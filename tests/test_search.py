@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import latticegenus.search as search
 from conftest import brute_force_genus, petersen_graph, sample_connected_graphs
 from latticegenus import (
     GenusEstimate,
@@ -40,8 +41,10 @@ def test_config_validation():
 
 @pytest.mark.parametrize("budget", [1, 10, 16, 17, 2000])
 def test_heuristic_never_spends_more_than_its_budget(budget):
-    # Z4xZ4 is not planar, so the genus-0 search spends its whole budget
-    outcome = search_embedding(lattice_for("Z4xZ4"), SearchConfig(0, budget=budget))
+    # Z9xZ2xZ2 has a double-K3,3 minor, so genus >= 2, and the 13 faces
+    # of genus 1 are under the 56 // 4 = 14 that the face floor allows:
+    # the genus-1 search spends its whole budget
+    outcome = search_embedding(lattice_for("Z9xZ2xZ2"), SearchConfig(1, budget=budget))
     assert outcome.status == "budget"
     assert outcome.evaluations == budget
 
@@ -86,12 +89,26 @@ def test_k33_torus_found_and_sphere_refuted():
     assert refuted.evaluations == 0
 
     # with the chord L1-L2 it has a triangle, and 6 faces fit in 20
-    # darts, so only the DFS refutes the sphere
+    # darts, so past planarity only the DFS refutes the sphere
     chorded = Graph(g.vertices, [*g.edges, ("L1", "L2")])
-    refuted = search_embedding(chorded, SearchConfig(0, mode="exhaustive"))
+    cfg = SearchConfig(0, mode="exhaustive")
+    refuted = search._search_exhaustive(chorded, cfg, search._face_floor(chorded))
     assert refuted.status == "exhausted"
     assert refuted.certificate is None
     assert refuted.evaluations > 0
+    assert search_embedding(chorded, cfg) == SearchOutcome.exhausted(0)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "heuristic"])
+@pytest.mark.parametrize(
+    "build", [lambda: lattice_for("Z4xZ4"), petersen_graph], ids=["Z4xZ4", "petersen"]
+)
+def test_sphere_refuted_by_planarity_before_any_evaluation(build, mode):
+    # the face floor leaves genus 0 open on both: 11 faces fit in
+    # 48 // 4 = 12, and 7 in 30 // 3 = 10
+    g = build()
+    outcome = search_embedding(g, SearchConfig(0, mode=mode))
+    assert outcome == SearchOutcome.exhausted(0)
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "heuristic"])
@@ -149,19 +166,19 @@ def test_heuristic_search_is_reproducible():
 
 
 def test_progress_callback_sees_each_restart():
-    # 11 faces at genus 0, under the 48 // 4 = 12 that Euler allows
-    g = lattice_for("Z4xZ4")
+    # 13 faces at genus 1, under the 56 // 4 = 14 that the floor allows
+    g = lattice_for("Z9xZ2xZ2")
     seen = []
     outcome = search_embedding(
         g,
-        SearchConfig(0, mode="heuristic", seed=1, budget=300_000),
+        SearchConfig(1, mode="heuristic", seed=1, budget=300_000),
         progress=lambda restart, best: seen.append((restart, best)),
     )
-    # genus 0 is unreachable, so every restart runs and reports; restarts
+    # genus 1 is unreachable, so every restart runs and reports; restarts
     # that stall early leave budget for more than sixteen of them
     assert outcome.status == "budget"
     assert outcome.evaluations == 300_000
-    assert [r for r, _ in seen] == list(range(24))
+    assert [r for r, _ in seen] == list(range(20))
     assert all(isinstance(best, int) and best >= 1 for _, best in seen)
 
 
