@@ -19,7 +19,6 @@ from typing import Sequence
 from .embeddings import (
     CertificateError,
     EmbeddingCertificate,
-    InvariantError,
     fan_lift_certificate,
     gn_certificate,
     hn_certificate,
@@ -32,6 +31,7 @@ from .graphs import (
     MINOR_BUDGET_DEFAULT,
     Graph,
     GraphError,
+    InvariantError,
     find_minor,
     grid_graph,
     grid_vertex_count,

@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, _json_array, _json_strings, gn_graph, hn_graph
-from .graphs import is_isomorphic, zppq_graph
+from .graphs import Graph, InvariantError, _json_array, _json_strings, gn_graph
+from .graphs import hn_graph, is_isomorphic, zppq_graph
 from .groups import GroupSpec, _is_prime, build_lattice, enumerate_subgroups
 
 
@@ -36,11 +36,6 @@ class CertificateError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
-
-
-class InvariantError(RuntimeError):
-    """The library contradicted itself: a bug, not bad input.  Raised
-    explicitly, not by ``assert``, so the check survives ``python -O``."""
 
 
 @dataclass

@@ -1,11 +1,16 @@
-"""Genus evidence for subgroup lattices, and the classification check.
+"""Genus evidence: the one place where genus bounds are combined.
 
-``group_bounds`` composes what is known about one group's lattice: the
-classification table, the closed-form families, a planarity test and
-the Euler bound.  ``crosscheck_rows`` sets the classification's
-prediction for each roster group against evidence found independently
-of it: a planarity test, a verified genus-1 certificate (searched for or
-constructed), a minor whose genus forces genus >= 2, or the Euler bound.
+Each piece of evidence is a ``GenusEstimate`` with its provenance tag,
+and pieces combine by ``merge``, which raises ``InvariantError`` when two
+of them contradict each other.  ``group_bounds`` composes what is known
+about one group's lattice: the classification table, the closed-form
+families, a planarity test and the Euler bound.  ``exact_genus_small``
+bounds the genus of any small connected graph from a planarity test,
+block additivity, the Euler bound and verified search certificates.
+``crosscheck_rows`` sets the classification's prediction for each
+roster group against evidence found independently of it: a planarity
+test, a verified genus-1 certificate (searched for or constructed), a
+minor whose genus forces genus >= 2, or the Euler bound.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from .embeddings import fan_lift_certificate, verify_certificate
 from .formulas import (
     AbelianClass,
     GenusEstimate,
+    block_additive_genus,
     classify_abelian,
     estimate_grid_genus,
     euler_lower_bound_int,
@@ -26,13 +32,26 @@ from .formulas import (
 from .graphs import (
     MINOR_BUDGET_DEFAULT,
     Graph,
+    block_decomposition,
     complete_bipartite,
     double_k33_pattern,
     find_minor,
+    girth,
     is_planar,
 )
 from .groups import DEFAULT_ORDER_CAP, GroupSpec, lattice_for, parse_group_spec
-from .search import SEARCH_BUDGET_DEFAULT, SearchConfig, SearchError, search_embedding
+from .search import (
+    SEARCH_BUDGET_DEFAULT,
+    SearchConfig,
+    SearchError,
+    exact_genus_exhaustive,
+    rotation_count,
+    search_embedding,
+)
+
+# below this rotation-system count, settling exact genus by DFS is
+# cheaper than running the heuristic
+_SMALL_EXHAUSTIVE_LIMIT = 10**4
 
 
 def _k5() -> Graph:
@@ -62,18 +81,62 @@ _MINOR_GENUS = {
 }
 
 
-def _planarity(lattice: Graph) -> GenusEstimate:
-    if is_planar(lattice):
+def _planarity(g: Graph) -> GenusEstimate:
+    if is_planar(g):
         return GenusEstimate.exactly(0, ["planarity"])
     return GenusEstimate.at_least(1, ["nonplanar"])
 
 
-def _euler_bound(lattice: Graph) -> GenusEstimate:
-    # the quadrilateral Euler bound needs girth >= 4, which every lattice
-    # has: a cover changes Omega(|H|) by exactly 1, so the parity of
-    # Omega(|H|) 2-colors the lattice and it has no odd cycle
-    lower = euler_lower_bound_int(lattice.vertex_count, lattice.edge_count)
+def _euler_bound(g: Graph) -> GenusEstimate:
+    # the quadrilateral Euler bound needs girth >= 4: every lattice has
+    # it, as a cover changes Omega(|H|) by exactly 1, so the parity of
+    # Omega(|H|) 2-colors the lattice and it has no odd cycle;
+    # exact_genus_small applies it to any graph once girth(g) >= 4
+    lower = euler_lower_bound_int(g.vertex_count, g.edge_count)
     return GenusEstimate.at_least(lower, ["bound:euler"])
+
+
+def exact_genus_small(
+    g: Graph,
+    budget: int = SEARCH_BUDGET_DEFAULT,
+    seed: int = 0,
+) -> GenusEstimate:
+    """Best certified genus estimate for a small connected graph.
+
+    Pipeline: planarity, block decomposition with per-block recursion,
+    Euler lower bound (girth >= 4), then certificates from exhaustive
+    search (tiny graphs) or the heuristic at increasing targets.  Each
+    piece merges in with its provenance tag, so a certificate that beats
+    a lower bound raises InvariantError.  The result is exact only when
+    a verified certificate meets the lower bound.
+    """
+    if not g.is_connected():
+        raise SearchError("need a connected graph")
+    est = _planarity(g)
+    if est.exact:
+        return est
+
+    blocks = block_decomposition(g)
+    if len(blocks) > 1:
+        return block_additive_genus(
+            [exact_genus_small(block, budget, seed) for block in blocks]
+        )
+
+    if girth(g) >= 4:
+        est = est.merge(_euler_bound(g))
+
+    if rotation_count(g) <= _SMALL_EXHAUSTIVE_LIMIT:
+        genus, _cert = exact_genus_exhaustive(g)
+        return est.merge(GenusEstimate.exactly(genus, ["search:exhaustive"]))
+
+    for target in range(est.lower, est.lower + 4):
+        outcome = search_embedding(
+            g, SearchConfig(target, mode="heuristic", seed=seed, budget=budget)
+        )
+        if outcome.status == "found":
+            upper = outcome.verified.genus
+            return est.merge(GenusEstimate(0, upper, ["search:heuristic"]))
+    return GenusEstimate.at_least(est.lower, [*est.provenance, "search:budget"])
 
 
 def group_bounds(
@@ -86,9 +149,7 @@ def group_bounds(
         # a cyclic group's lattice is exactly the divisor grid
         return estimate_grid_genus(spec.exponents)
     cls = classify_abelian(spec)
-    est = GenusEstimate(
-        cls.lower, cls.upper, cls.upper == cls.lower, (f"table:abelian:{cls.label}",)
-    )
+    est = GenusEstimate(cls.lower, cls.upper, [f"table:abelian:{cls.label}"])
     family = family_genus(spec)
     if family is not None:
         est = est.merge(family)

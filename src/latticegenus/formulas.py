@@ -1,11 +1,12 @@
 """Closed-form genus values, bounds, and classification tables.
 
-Everything here is pure arithmetic: exact genus formulas for grid-graph
-families, the Euler-formula lower bound for girth-4 graphs, upper-bound
-recurrences for three-parameter grids, block additivity, the closed
-forms of five lattice families, and the lookup tables classifying
-cyclic and abelian groups by lattice genus.  All intermediate values
-are exact rationals; floats never appear.
+Everything here is pure arithmetic: the genus interval type that every
+layer reports in, exact genus formulas for grid-graph families, the
+Euler-formula lower bound for girth-4 graphs, upper-bound recurrences
+for three-parameter grids, block additivity, the closed forms of five
+lattice families, and the lookup tables classifying cyclic and abelian
+groups by lattice genus.  All intermediate values are exact rationals;
+floats never appear.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .embeddings import InvariantError
-from .graphs import grid_edge_count, grid_vertex_count
+from .graphs import InvariantError, grid_edge_count, grid_vertex_count
 from .groups import GroupSpec
 
 
@@ -28,14 +28,14 @@ class FormulaError(ValueError):
 class GenusEstimate:
     """Best known genus interval for a graph, with reasons.
 
-    ``upper`` of ``None`` means no upper bound is known.  ``exact``
-    forces lower == upper.  ``provenance`` records which formulas,
-    certificates, or searches produced the bounds.
+    ``upper`` of ``None`` means no upper bound is known, and the
+    estimate is ``exact`` when the two bounds meet.  ``provenance``
+    records which formulas, certificates, or searches produced the
+    bounds.
     """
 
     lower: int
     upper: int | None
-    exact: bool
     provenance: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
@@ -43,17 +43,19 @@ class GenusEstimate:
             raise FormulaError(f"negative genus lower bound {self.lower}")
         if self.upper is not None and self.upper < self.lower:
             raise FormulaError(f"upper {self.upper} below lower {self.lower}")
-        if self.exact and self.upper != self.lower:
-            raise FormulaError("exact estimate must have upper == lower")
         object.__setattr__(self, "provenance", tuple(self.provenance))
+
+    @property
+    def exact(self) -> bool:
+        return self.upper == self.lower
 
     @staticmethod
     def exactly(genus: int, provenance: Iterable[str]) -> "GenusEstimate":
-        return GenusEstimate(genus, genus, True, tuple(provenance))
+        return GenusEstimate(genus, genus, provenance)
 
     @staticmethod
     def at_least(lower: int, provenance: Iterable[str]) -> "GenusEstimate":
-        return GenusEstimate(lower, None, False, tuple(provenance))
+        return GenusEstimate(lower, None, provenance)
 
     def merge(self, other: "GenusEstimate") -> "GenusEstimate":
         """Intersect two estimates for the same graph.
@@ -73,7 +75,7 @@ class GenusEstimate:
             )
         prov = list(self.provenance)
         prov.extend(t for t in other.provenance if t not in prov)
-        return GenusEstimate(lower, upper, upper == lower, tuple(prov))
+        return GenusEstimate(lower, upper, prov)
 
     def to_json_dict(self) -> dict:
         return {
@@ -195,17 +197,15 @@ def block_additive_genus(per_block: Iterable[GenusEstimate]) -> GenusEstimate:
     """
     lower = 0
     upper: int | None = 0
-    exact = True
     prov: list[str] = ["block-additivity"]
     for est in per_block:
         lower += est.lower
         if upper is not None:
             upper = None if est.upper is None else upper + est.upper
-        exact = exact and est.exact
         for tag in est.provenance:
             if tag not in prov:
                 prov.append(tag)
-    return GenusEstimate(lower, upper, exact and upper == lower, tuple(prov))
+    return GenusEstimate(lower, upper, prov)
 
 
 @dataclass(frozen=True)
@@ -365,12 +365,11 @@ def estimate_grid_genus(exponents: Iterable[int]) -> GenusEstimate:
         )
     if k == 3 and any(e % 2 == 0 for e in exps):
         estimates.append(
-            GenusEstimate(0, grid_upper_bound(exps), False, ("bound:grid-upper",))
+            GenusEstimate(0, grid_upper_bound(exps), ["bound:grid-upper"])
         )
     table = classify_cyclic(exps)
     estimates.append(
-        GenusEstimate(table.lower, table.upper, table.upper == table.lower,
-                      (f"table:cyclic:{table.label}",))
+        GenusEstimate(table.lower, table.upper, [f"table:cyclic:{table.label}"])
     )
 
     merged = estimates[0]

@@ -21,6 +21,7 @@ import networkx as nx
 
 __all__ = [
     "GraphError",
+    "InvariantError",
     "Graph",
     "path_graph",
     "cycle_graph",
@@ -45,6 +46,11 @@ __all__ = [
 
 class GraphError(ValueError):
     """Raised for malformed graph constructions, queries, or witnesses."""
+
+
+class InvariantError(RuntimeError):
+    """The library contradicted itself: a bug, not bad input.  Raised
+    explicitly, not by ``assert``, so the check survives ``python -O``."""
 
 
 # ============================================================

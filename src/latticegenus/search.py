@@ -1,10 +1,11 @@
-"""Genus determination by search over rotation systems.
+"""The genus search engines over rotation systems.
 
 Two engines: a seeded annealing heuristic that climbs on face count
 (used for upper bounds via found certificates), and an exhaustive DFS
 over rotation systems with an admissible face-count prune (used to
-settle exact genus on small graphs).  Both count faces incrementally:
-a heuristic move retraces only the faces its swap touches, and the DFS
+settle exact genus on small graphs); ``evidence`` combines what they
+find with the other genus bounds.  Both count faces incrementally: a
+heuristic move retraces only the faces its swap touches, and the DFS
 keeps its closed-face and open-chain tallies up to date as it assigns
 and unassigns rotations.  A found certificate is verified once, where
 the search makes it, and the outcome carries the verifier's result, so
@@ -32,22 +33,12 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .formulas import GenusEstimate, block_additive_genus, euler_lower_bound_int
-from .graphs import Graph, _two_colorable, block_decomposition, girth, is_planar
-from .embeddings import (
-    EmbeddingCertificate,
-    InvariantError,
-    VerifiedGenus,
-    _Darts,
-    verify_certificate,
-)
+from .graphs import Graph, InvariantError, _two_colorable, is_planar
+from .embeddings import EmbeddingCertificate, VerifiedGenus, _Darts, verify_certificate
 
 EXHAUSTIVE_THRESHOLD = 10**9
 # the evaluation or node budget of a search when none is given
 SEARCH_BUDGET_DEFAULT = 10**6
-# below this rotation-system count, settling exact genus by DFS is
-# cheaper than running the heuristic
-_SMALL_EXHAUSTIVE_LIMIT = 10**4
 
 _STALL_CUTOFF = 12000
 # each heuristic restart gets at most budget // _BUDGET_SLICES evaluations
@@ -86,7 +77,8 @@ class SearchConfig:
 class SearchOutcome:
     """Result of a search: a certificate with its verified genus, a proof
     of absence, or an exhausted budget.  Heuristic mode proves absence
-    only by the face ceiling, with zero evaluations."""
+    only by the face ceiling or, at genus 0, by planarity, with zero
+    evaluations."""
 
     status: str
     certificate: EmbeddingCertificate | None
@@ -276,15 +268,13 @@ class _PartialRotation:
         self.closed = 0
         self.chains = n
         self.open_darts = n
-        self.unassigned_degree = n
 
     def bound(self) -> int:
         """Upper bound on the final face count: closed faces plus the
-        best the open chains and unassigned turns could still yield, no
-        face shorter than the floor."""
-        return self.closed + min(
-            self.chains, self.open_darts // self.floor, self.unassigned_degree
-        )
+        best the open chains could still yield, no face shorter than the
+        floor.  Each assigned turn links two chains or closes one, so
+        the open chains are exactly the unassigned turns."""
+        return self.closed + min(self.chains, self.open_darts // self.floor)
 
     def assign(self, v: int, rot: list[int]) -> None:
         ids, nxt, first, last, length = (
@@ -307,7 +297,6 @@ class _PartialRotation:
                 first[e] = s
                 length[s] += length[t]
         self.chains -= deg
-        self.unassigned_degree -= deg
 
     def unassign(self, v: int, rot: list[int]) -> None:
         ids, nxt, first, last, length = (
@@ -326,9 +315,7 @@ class _PartialRotation:
                 last[s] = d
                 first[e] = t
                 length[s] -= length[t]
-        deg = len(rot)
-        self.chains += deg
-        self.unassigned_degree += deg
+        self.chains += len(rot)
 
 
 def _search_exhaustive(g: Graph, cfg: SearchConfig, floor: int) -> SearchOutcome:
@@ -416,61 +403,3 @@ def exact_genus_exhaustive(
             raise SearchError("budget exhausted before genus was settled")
     raise InvariantError("some rotation system must embed the graph")
 
-
-def exact_genus_small(
-    g: Graph,
-    budget: int = SEARCH_BUDGET_DEFAULT,
-    seed: int = 0,
-) -> GenusEstimate:
-    """Best certified genus estimate for a small connected graph.
-
-    Pipeline: planarity, block decomposition with per-block recursion,
-    Euler lower bound (girth >= 4), then certificates from exhaustive
-    search (tiny graphs) or the heuristic at increasing targets.  The
-    result is exact only when a verified certificate meets the lower
-    bound.
-    """
-    if not g.is_connected():
-        raise SearchError("need a connected graph")
-
-    return _exact_genus_block(g, budget, seed)
-
-
-def _exact_genus_block(g: Graph, budget: int, seed: int) -> GenusEstimate:
-    if is_planar(g):
-        return GenusEstimate.exactly(0, ["planarity"])
-
-    blocks = block_decomposition(g)
-    if len(blocks) > 1:
-        return block_additive_genus(
-            [_exact_genus_block(block, budget, seed) for block in blocks]
-        )
-
-    if girth(g) >= 4:
-        lower = max(1, euler_lower_bound_int(g.vertex_count, g.edge_count))
-        lower_prov = ["bound:euler"]
-    else:
-        lower = 1
-        lower_prov = ["bound:nonplanar"]
-
-    if rotation_count(g) <= _SMALL_EXHAUSTIVE_LIMIT:
-        genus, _cert = exact_genus_exhaustive(g)
-        if genus < lower:
-            raise InvariantError(
-                f"certificate genus {genus} beats lower bound {lower}"
-            )
-        return GenusEstimate.exactly(genus, lower_prov + ["search:exhaustive"])
-
-    for target in range(lower, lower + 4):
-        outcome = search_embedding(
-            g, SearchConfig(target, mode="heuristic", seed=seed, budget=budget)
-        )
-        if outcome.status == "found":
-            upper = outcome.verified.genus
-            return GenusEstimate(
-                lower,
-                upper,
-                upper == lower,
-                tuple(lower_prov + ["search:heuristic"]),
-            )
-    return GenusEstimate.at_least(lower, lower_prov + ["search:budget"])

@@ -694,6 +694,7 @@ def test_invariant_errors_survive_optimized_python():
     script = textwrap.dedent(
         """
         assert False, "stripped under -O, so this never fires"
+        import latticegenus.evidence as evidence
         import latticegenus.search as search
         from latticegenus import (
             EmbeddingCertificate, Graph, InvariantError, SearchOutcome,
@@ -709,9 +710,10 @@ def test_invariant_errors_survive_optimized_python():
                 print(name, "passed")
 
         search.search_embedding = lambda g, cfg: SearchOutcome("found", None, 1)
+        evidence.search_embedding = search.search_embedding
         check("exhaustive", lambda: search.exact_genus_exhaustive(
             complete_bipartite(3, 3)))
-        check("heuristic", lambda: search.exact_genus_small(
+        check("heuristic", lambda: evidence.exact_genus_small(
             complete_bipartite(4, 4)))
 
         # a has_edge that admits every pair lets a non-edge into the

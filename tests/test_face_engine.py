@@ -108,11 +108,12 @@ def reference_face_count(darts, rotation):
     return faces
 
 
-def reference_bound(nxt, unassigned_degree, floor):
+def reference_bound(nxt, floor):
     """The exhaustive prune's bound as it was before its tallies became
-    incremental: three scans over every dart of the partial next array
-    (-1 where the turn is not assigned yet), no face shorter than floor."""
+    incremental: scans over every dart of the partial next array (-1
+    where the turn is not assigned yet), no face shorter than floor."""
     count = len(nxt)
+    unassigned = sum(1 for t in nxt if t < 0)
     # upper bound on the final face count: closed faces plus the
     # best the open chains and unassigned turns could still yield
     pred_known = bytearray(count)
@@ -140,7 +141,7 @@ def reference_bound(nxt, unassigned_degree, floor):
         while not visited[cur]:
             visited[cur] = 1
             cur = nxt[cur]
-    return closed + min(chains, open_darts // floor, unassigned_degree)
+    return closed + min(chains, open_darts // floor, unassigned)
 
 
 def _nx_graph(g):
@@ -288,7 +289,7 @@ def test_prune_tallies_equal_the_rescan_at_every_node(monkeypatch, build, genus)
 
     def rescanned(state):
         value = tallied(state)
-        assert value == reference_bound(state.nxt, state.unassigned_degree, floor)
+        assert value == reference_bound(state.nxt, floor)
         checked.append(value)
         return value
 

@@ -46,16 +46,17 @@ def test_estimate_constructors_and_validation():
     lower = GenusEstimate.at_least(3, ["y"])
     assert (lower.lower, lower.upper, lower.exact) == (3, None, False)
     with pytest.raises(FormulaError):
-        GenusEstimate(-1, None, False, ("p",))
+        GenusEstimate(-1, None, ("p",))
     with pytest.raises(FormulaError):
-        GenusEstimate(3, 2, False, ("p",))
-    with pytest.raises(FormulaError):
-        GenusEstimate(1, 2, True, ("p",))
+        GenusEstimate(3, 2, ("p",))
+    # exact is read off the bounds, so no estimate can claim it falsely
+    for lo, hi in ((1, 2), (2, 2), (2, None)):
+        assert GenusEstimate(lo, hi, ("p",)).exact == (hi == lo)
 
 
 def test_estimate_merge_tightens():
     a = GenusEstimate.at_least(2, ["lower"])
-    b = GenusEstimate(0, 3, False, ("upper",))
+    b = GenusEstimate(0, 3, ("upper",))
     m = a.merge(b)
     assert (m.lower, m.upper, m.exact) == (2, 3, False)
     e = m.merge(GenusEstimate.exactly(3, ["pin"]))
@@ -71,7 +72,7 @@ def test_estimate_merge_rejects_contradiction():
 
 
 def test_estimate_json_shape():
-    doc = GenusEstimate(1, None, False, ("a", "b")).to_json_dict()
+    doc = GenusEstimate(1, None, ("a", "b")).to_json_dict()
     assert doc == {"lower": 1, "upper": None, "exact": False, "provenance": ["a", "b"]}
 
 

@@ -277,19 +277,39 @@ def test_genus_is_monotone_under_edge_removal():
 
 def test_exact_genus_small_planar_case():
     est = exact_genus_small(grid_graph((2, 2)))
-    assert est.exact and est.lower == 0 == est.upper
-    assert "planarity" in est.provenance
+    assert (est.lower, est.upper, est.exact) == (0, 0, True)
+    assert est.provenance == ("planarity",)
 
 
 def test_exact_genus_small_on_a_torus_lattice():
     est = exact_genus_small(lattice_for("Z4xZ4"), budget=10**5, seed=0)
-    assert est.exact and est.lower == 1 and est.upper == 1
+    assert (est.lower, est.upper, est.exact) == (1, 1, True)
+    assert est.provenance == ("nonplanar", "bound:euler", "search:heuristic")
+    # K5 has a triangle, so only its nonplanarity bounds it below
+    k5 = Graph("abcde", [(u, v) for u, v in itertools.combinations("abcde", 2)])
+    est = exact_genus_small(k5)
+    assert (est.lower, est.upper, est.exact) == (1, 1, True)
+    assert est.provenance == ("nonplanar", "search:exhaustive")
+    for g in (complete_bipartite(3, 3), petersen_graph(), lattice_for("Z8xZ4")):
+        est = exact_genus_small(g)
+        assert (est.lower, est.upper, est.exact) == (1, 1, True)
+    est = exact_genus_small(complete_bipartite(4, 4), budget=10**5, seed=0)
+    assert (est.lower, est.upper, est.exact) == (1, 1, True)
 
 
 def test_exact_genus_small_adds_over_blocks():
     # two K33 blocks glued at a vertex need genus 2
     est = exact_genus_small(double_k33_pattern(), budget=10**5, seed=0)
-    assert est.exact and est.lower == 2 == est.upper
+    assert (est.lower, est.upper, est.exact) == (2, 2, True)
+    assert est.provenance == (
+        "block-additivity", "nonplanar", "bound:euler", "search:exhaustive"
+    )
+
+
+def test_exact_genus_small_matches_the_oracle_on_a_sample():
+    for g in sample_connected_graphs(200):
+        est = exact_genus_small(g)
+        assert est.exact and est.lower == brute_force_genus(g)
 
 
 def test_exact_genus_small_merges_outside_knowledge():
@@ -301,6 +321,5 @@ def test_exact_genus_small_merges_outside_knowledge():
 
 def test_exact_genus_small_starved_budget_stays_an_interval():
     est = exact_genus_small(lattice_for("Z16xZ4"), budget=10, seed=0)
-    assert not est.exact
-    assert est.lower >= 1
-    assert est.upper is None or est.upper > est.lower
+    assert (est.lower, est.upper, est.exact) == (1, None, False)
+    assert est.provenance[-1] == "search:budget"
