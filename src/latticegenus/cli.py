@@ -79,13 +79,15 @@ def _target(
     stripped = text.strip()
     # isdecimal, not isdigit: superscripts are digits that int() rejects
     if stripped and all(ch.isdecimal() or ch == "," for ch in stripped):
+        tokens = stripped.split(",")
+        # refused, not repaired: 1,,2 is not the grid 1,2
+        if not all(tokens):
+            raise GraphError(f"empty exponent list {text!r}")
         try:
-            exps = tuple(int(tok) for tok in stripped.split(",") if tok)
+            exps = tuple(int(tok) for tok in tokens)
         except ValueError:
             # int() refuses more digits than the interpreter's limit
             raise GraphError("grid exponent has too many digits")
-        if not exps:
-            raise GraphError(f"empty exponent list {text!r}")
         return "grid " + ",".join(map(str, exps)), exps
     spec = parse_group_spec(stripped, order_cap=order_cap)
     return spec.name(), spec

@@ -5,21 +5,22 @@ traverse every directed edge exactly once and whose turn-by-turn
 behavior at each vertex forms a single rotation cycle.  Such a
 certificate pins down a genuine embedding, so Euler's formula gives the
 genus of the carrying surface.  This module verifies certificates,
-holds the face-tracing engine that turns rotation systems into faces
-(the one ``trace_faces`` and both searches use; it also updates a face
-count after one swap in one rotation by tracing only the faces the swap
-touches), constructs the three parameterized certificate families used
-for lattice genus upper bounds, and performs the edge-to-fan surgery:
-one face rewrite, which ``fan_expansion`` applies to one edge and the
-fan lift of the Z_{p^2} x Z_{p^2} lattice to every rim edge of a gadget
-at once.  The lift's vertices are labeled onto the lattice by
+holds the face-tracing engine that turns a next array over darts into
+faces (the one ``trace_faces`` and both searches use: each search hands
+its final next array, the whole rotation, to that engine; it also
+updates a face count after one swap in one rotation by tracing only the
+faces the swap touches), constructs the three parameterized certificate
+families used for lattice genus upper bounds, and performs the
+edge-to-fan surgery: one face rewrite, which ``fan_expansion`` applies
+to one edge and the fan lift of the Z_{p^2} x Z_{p^2} lattice to every
+rim edge of a gadget at once.  The lift's vertices are labeled onto the lattice by
 construction, not found by an isomorphism search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .graphs import Graph, InvariantError, _json_array, _json_strings, gn_graph
 from .graphs import hn_graph, is_isomorphic, zppq_graph
@@ -27,7 +28,7 @@ from .groups import GroupSpec, _is_prime, build_lattice, enumerate_subgroups
 
 
 class CertificateError(ValueError):
-    """A certificate or rotation system failed validation.
+    """A certificate or rotation failed validation.
 
     ``code`` is a stable machine-readable tag; the message carries the
     human-readable details.
@@ -36,26 +37,6 @@ class CertificateError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
-
-
-@dataclass
-class RotationSystem:
-    """Cyclic neighbor order around each vertex."""
-
-    order: dict[str, tuple[str, ...]]
-
-    def validate(self, g: Graph) -> None:
-        if set(self.order) != set(g.vertices):
-            raise CertificateError(
-                "invalid-rotation",
-                "rotation system must cover exactly the graph's vertices",
-            )
-        for v, nbrs in self.order.items():
-            if sorted(nbrs) != sorted(g.neighbors(v)):
-                raise CertificateError(
-                    "invalid-rotation",
-                    f"rotation at {v!r} is not a permutation of its neighbors",
-                )
 
 
 @dataclass(frozen=True)
@@ -182,17 +163,18 @@ def verify_certificate(g: Graph, cert: EmbeddingCertificate) -> VerifiedGenus:
 
 
 class _Darts:
-    """Integer dart tables: the engine that turns rotation systems (per
-    vertex id, neighbor ids in cyclic order) into faces.  The vertex ids
-    are the ones the Graph owns (``g.index``) and its adjacency
-    ``g.adj`` is read as is; dart ids follow sorted (tail, head) ids.
+    """Integer dart tables: the engine that turns a rotation system (per
+    vertex id, neighbor ids in cyclic order) into a ``next`` array over
+    dart ids, and that array into faces.  The vertex ids are the ones
+    the Graph owns (``g.index``) and its adjacency ``g.adj`` is read as
+    is; dart ids follow sorted (tail, head) ids.
 
-    Faces are the cycles of a ``next`` array over dart ids.  A search
-    keeps one such array, with the rotation's in-dart rows beside it,
-    and moves through rotations by ``swap``, which rewrites three
-    entries; ``swap_delta`` gives the move's change in face count from
-    the three in-darts the move turns, by tracing at most two of the
-    faces they lie on."""
+    Faces are the cycles of the next array, which encodes the whole
+    rotation.  A search keeps one such array, with the rotation's
+    in-dart rows, and moves through rotations by ``swap``, which
+    rewrites three entries; ``swap_delta`` gives the move's change in
+    face count from the three in-darts the move turns, by tracing at
+    most two of the faces they lie on."""
 
     def __init__(self, g: Graph):
         self.vertices = g.vertices
@@ -230,17 +212,15 @@ class _Darts:
             cycles.append(cycle)
         return cycles
 
-    def faces(self, rotation: list[list[int]]) -> tuple[tuple[str, ...], ...]:
-        """Face walks as label tuples, each from its lowest dart's tail."""
+    def faces(self, nxt: list[int]) -> tuple[tuple[str, ...], ...]:
+        """Face walks of a complete next array as label tuples, each from
+        its lowest dart's tail."""
         labels = [self.vertices[t] for t in self.tail]
-        return tuple(
-            tuple(labels[d] for d in cycle)
-            for cycle in self.orbits(self.next_array(rotation))
-        )
+        return tuple(tuple(labels[d] for d in cycle) for cycle in self.orbits(nxt))
 
     def in_rows(self, rotation: list[list[int]]) -> list[list[int]]:
         """Per vertex v, the ids of the darts (u,v) into v, u in rotation
-        order: the rows a search keeps beside ``rotation``."""
+        order: the rows a search keeps with its next array."""
         ids = self.dart_id
         return [[ids[u][v] for u in rot] for v, rot in enumerate(rotation)]
 
@@ -276,30 +256,43 @@ class _Darts:
             cur = nxt[cur]
         return -2
 
-    def swap(self, nxt: list[int], rotation: list[list[int]],
-             inrot: list[list[int]], v: int, i: int) -> None:
-        """Trade entries i and i+1 (cyclically) of rotation[v] and of its
-        in-dart row inrot[v], and rewrite the three entries of nxt that
-        change.  Running it twice restores all three."""
-        rot = rotation[v]
+    def swap(self, nxt: list[int], inrot: list[list[int]], v: int, i: int) -> None:
+        """Trade entries i and i+1 (cyclically) of v's rotation: swap them
+        in its in-dart row inrot[v] and rewrite the three entries of nxt
+        that change.  Running it twice restores both."""
         row = inrot[v]
         j = i + 1 if i + 1 < len(row) else 0
         x, y, z = row[i - 1], row[i], row[j]
         nxt[x], nxt[y], nxt[z] = nxt[y], nxt[z], nxt[x]
-        rot[i], rot[j] = rot[j], rot[i]
         row[i], row[j] = z, y
 
 
-def trace_faces(g: Graph, rot: RotationSystem) -> EmbeddingCertificate:
-    """Trace the face orbits of a rotation system.
+def trace_faces(g: Graph, order: Mapping[str, Sequence[str]]) -> EmbeddingCertificate:
+    """Trace the face orbits of a rotation: ``order`` maps each vertex
+    to its neighbors in cyclic order.
 
     Leaving dart (u, v), the next dart continues from v toward the
-    neighbor after u in v's rotation.  The result always satisfies the
-    certificate invariants.
+    neighbor after u in v's rotation.  Raises CertificateError with code
+    "invalid-rotation" unless ``order`` covers exactly g's vertices and
+    lists each vertex's neighbor labels once each.  The result always
+    satisfies the certificate invariants.
     """
-    rot.validate(g)
-    rotation = [[g.index[u] for u in rot.order[v]] for v in g.vertices]
-    return EmbeddingCertificate(g, _Darts(g).faces(rotation))
+    if set(order) != set(g.vertices):
+        raise CertificateError(
+            "invalid-rotation",
+            "rotation system must cover exactly the graph's vertices",
+        )
+    for v, nbrs in order.items():
+        # 1 is not the label "1": a non-string entry is refused, not coerced
+        labels = all(isinstance(u, str) for u in nbrs)
+        if not labels or sorted(nbrs) != sorted(g.neighbors(v)):
+            raise CertificateError(
+                "invalid-rotation",
+                f"rotation at {v!r} is not a permutation of its neighbors",
+            )
+    darts = _Darts(g)
+    rotation = [[g.index[u] for u in order[v]] for v in g.vertices]
+    return EmbeddingCertificate(g, darts.faces(darts.next_array(rotation)))
 
 
 def _verified_family(
@@ -534,14 +527,13 @@ def fan_lift_certificate(p: int) -> EmbeddingCertificate:
     # labels keyed by (|H|, pH), each list in label order
     by_key: dict[tuple[int, frozenset], list[str]] = {}
     for name, sub in zip(names, subs.subgroups):
-        ph = frozenset((p * x % q, p * y % q) for x, y in sub.elements)
-        by_key.setdefault((sub.order, ph), []).append(name)
+        ph = frozenset((p * x % q, p * y % q) for x, y in sub)
+        by_key.setdefault((len(sub), ph), []).append(name)
     # pG is the one subgroup of order p^2 that p kills
     [b] = by_key[(q, frozenset({(0, 0)}))]
     rename = {"a": names[0], "b": b, "c": names[-1]}
     fans: dict[tuple[str, str], list[str]] = {}
-    lines = [(name, sub.elements) for name, sub in zip(names, subs.subgroups)
-             if sub.order == p]
+    lines = [(name, sub) for name, sub in zip(names, subs.subgroups) if len(sub) == p]
     for i, (line, elems) in enumerate(lines, 1):
         [m] = by_key[(q * p, elems)]
         rename[f"alpha_{i}"], rename[f"beta_{i}"] = line, m

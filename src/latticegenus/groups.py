@@ -194,48 +194,35 @@ def parse_group_spec(text: str, order_cap: int | None = DEFAULT_ORDER_CAP) -> Gr
 
 
 @dataclass(frozen=True)
-class Subgroup:
-    """A subgroup given by its full element set (coordinate tuples)."""
-
-    elements: frozenset[tuple[int, ...]]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def sorted_elements(self) -> list[tuple[int, ...]]:
-        return sorted(self.elements)
-
-
-@dataclass(frozen=True)
 class SubgroupSet:
     """All subgroups of a group, canonically ordered and labeled.
 
+    Each subgroup is its element set, a frozenset of coordinate tuples.
     Subgroups sort by (order, sorted element list); the label of the
     i-th subgroup of a given order is ``"S<order>#<i>"``, so labels are
     stable across runs.
     """
 
     group: GroupSpec
-    subgroups: tuple[Subgroup, ...]
+    subgroups: tuple[frozenset[tuple[int, ...]], ...]
 
     def __post_init__(self) -> None:
-        ordered = sorted(self.subgroups, key=lambda s: (s.order, s.sorted_elements()))
+        ordered = sorted(self.subgroups, key=lambda s: (len(s), sorted(s)))
         object.__setattr__(self, "subgroups", tuple(ordered))
 
     def labels(self) -> tuple[str, ...]:
         out = []
         index_within_order: dict[int, int] = {}
         for sub in self.subgroups:
-            i = index_within_order.get(sub.order, 0)
-            index_within_order[sub.order] = i + 1
-            out.append(f"S{sub.order}#{i}")
+            i = index_within_order.get(len(sub), 0)
+            index_within_order[len(sub)] = i + 1
+            out.append(f"S{len(sub)}#{i}")
         return tuple(out)
 
     def census(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for sub in self.subgroups:
-            out[sub.order] = out.get(sub.order, 0) + 1
+            out[len(sub)] = out.get(len(sub), 0) + 1
         return out
 
     def to_json_dict(self) -> dict:
@@ -244,8 +231,8 @@ class SubgroupSet:
             "subgroups": [
                 {
                     "id": label,
-                    "order": sub.order,
-                    "elements": [list(e) for e in sub.sorted_elements()],
+                    "order": len(sub),
+                    "elements": [list(e) for e in sorted(sub)],
                 }
                 for label, sub in zip(self.labels(), self.subgroups)
             ],
@@ -358,7 +345,7 @@ def enumerate_subgroups(
         elems = combo[0]
         for part in combo[1:]:
             elems = [x + y for x in elems for y in part]
-        subgroups.append(Subgroup(frozenset(elems)))
+        subgroups.append(frozenset(elems))
     return SubgroupSet(g, tuple(subgroups))
 
 
@@ -381,7 +368,7 @@ def build_lattice(s: SubgroupSet) -> Graph:
     subs = s.subgroups
     by_order: dict[int, list[int]] = {}
     for j, sub in enumerate(subs):
-        by_order.setdefault(sub.order, []).append(j)
+        by_order.setdefault(len(sub), []).append(j)
     primes = {p for p, _ in s.group.factors}
     # how many subgroups look for their covers in each order class
     looks: dict[int, int] = {}
@@ -393,7 +380,7 @@ def build_lattice(s: SubgroupSet) -> Graph:
         if looks.get(order, 0) > order:
             rows: dict[tuple[int, ...], int] = {}
             for bit, j in enumerate(members):
-                for x in subs[j].elements:
+                for x in subs[j]:
                     rows[x] = rows.get(x, 0) | 1 << bit
             index[order] = rows
     edges = []
@@ -401,13 +388,13 @@ def build_lattice(s: SubgroupSet) -> Graph:
         # H < K is a cover iff [K:H] is prime: the abelian K/H has a
         # subgroup of every order dividing its own
         for p in primes:
-            members = by_order.get(sub.order * p, ())
-            rows = index.get(sub.order * p)
+            members = by_order.get(len(sub) * p, ())
+            rows = index.get(len(sub) * p)
             if rows is not None:
                 mask = (1 << len(members)) - 1
                 # each x is a key: the class is not empty, so |H|·p
                 # divides |G| and H has a cover in it
-                for x in sub.elements:
+                for x in sub:
                     mask &= rows[x]
                     if not mask & (mask - 1):
                         break
@@ -418,7 +405,7 @@ def build_lattice(s: SubgroupSet) -> Graph:
                     mask ^= low
                 members = found
             for j in members:
-                if sub.elements < subs[j].elements:
+                if sub < subs[j]:
                     edges.append((labels[i], labels[j]))
     return Graph(labels, edges)
 

@@ -15,7 +15,8 @@ The heuristic draws each move's vertex and position from
 ``getrandbits`` by the rejection loop that ``randrange`` runs, so a
 seed gives the values, the evaluations and the faces that
 ``randrange`` would; it reads a move's three darts from in-dart rows
-it keeps beside the rotation.
+it keeps with the next array, the whole rotation.  Either engine hands
+its final next array to the face tracer.
 
 No face is shorter than a floor read off the graph in O(V + E): 2 on a
 tree, else 4 if the graph is bipartite, as every subgroup lattice is,
@@ -154,10 +155,11 @@ def search_embedding(
     return _search_heuristic(g, cfg, progress)
 
 
-def _found(g: Graph, darts: _Darts, rotation: list[list[int]], target: int,
+def _found(g: Graph, darts: _Darts, nxt: list[int], target: int,
            evaluations: int) -> SearchOutcome:
-    """The found outcome for a rotation system, its certificate verified."""
-    cert = EmbeddingCertificate(g, darts.faces(rotation))
+    """The found outcome for a complete next array, its certificate
+    verified."""
+    cert = EmbeddingCertificate(g, darts.faces(nxt))
     result = verify_certificate(g, cert)
     if result.genus > target:
         raise InvariantError(
@@ -190,18 +192,19 @@ def _search_heuristic(
         stop = min(evaluations + slice_budget, cfg.budget)
         rng = random.Random(cfg.seed * 1_000_003 + restart)
         getrandbits = rng.getrandbits
+        # the shuffled rotation only seeds inrot and nxt, which encode it
         rotation = [list(nb) for nb in g.adj]
         for rot in rotation:
             rng.shuffle(rot)
-        # inrot[v] holds the darts (u,v) for u in rotation[v]'s order;
-        # darts.swap keeps the two in step
+        # inrot[v] holds the darts (u,v) for u in v's rotation order;
+        # darts.swap keeps it in step with nxt
         inrot = darts.in_rows(rotation)
         nxt = darts.next_array(rotation)
         faces = len(darts.orbits(nxt))
         evaluations += 1
         best = faces
         if faces >= f_target:
-            return _found(g, darts, rotation, cfg.target_genus, evaluations)
+            return _found(g, darts, nxt, cfg.target_genus, evaluations)
 
         stall = 0
         step = 0
@@ -224,7 +227,7 @@ def _search_heuristic(
             if delta >= 0 or rng.random() < math.exp(
                 delta / max(0.02, 1.5 * (0.9997**step))
             ):
-                darts.swap(nxt, rotation, inrot, v, i)
+                darts.swap(nxt, inrot, v, i)
                 faces += delta
                 if faces > best:
                     best = faces
@@ -232,7 +235,7 @@ def _search_heuristic(
                 else:
                     stall += 1
                 if faces >= f_target:
-                    outcome = _found(g, darts, rotation, cfg.target_genus, evaluations)
+                    outcome = _found(g, darts, nxt, cfg.target_genus, evaluations)
                     if progress is not None:
                         progress(restart, best)
                     return outcome
@@ -342,15 +345,13 @@ def _search_exhaustive(g: Graph, cfg: SearchConfig, floor: int) -> SearchOutcome
         qi += 1
 
     state = _PartialRotation(darts, floor)
-    rotation: list[list[int] | None] = [None] * nv
     # a vertex of degree <= 2 has one rotation: assign it now, so the DFS
     # recurses only over the branching vertices, at most 29 of them, as
     # 2**30 rotation systems would pass EXHAUSTIVE_THRESHOLD
     branching = []
     for v in order:
         if len(g.adj[v]) <= 2:
-            rotation[v] = list(g.adj[v])
-            state.assign(v, rotation[v])
+            state.assign(v, g.adj[v])
         else:
             branching.append(v)
     evaluations = 0
@@ -363,8 +364,9 @@ def _search_exhaustive(g: Graph, cfg: SearchConfig, floor: int) -> SearchOutcome
         evaluations += 1
         if pos == len(branching):
             # with every rotation assigned no chain is open, so the
-            # bound() >= f_target that let us in is the exact face count
-            found.append(_found(g, darts, rotation, cfg.target_genus, evaluations))
+            # bound() >= f_target that let us in is the exact face count,
+            # and state.nxt is the complete next array
+            found.append(_found(g, darts, state.nxt, cfg.target_genus, evaluations))
             return True
         v = branching[pos]
         nb = g.adj[v]
@@ -372,11 +374,9 @@ def _search_exhaustive(g: Graph, cfg: SearchConfig, floor: int) -> SearchOutcome
         for perm in itertools.permutations(rest):
             rot = [first, *perm]
             state.assign(v, rot)
-            rotation[v] = rot
             if state.bound() >= f_target and dfs(pos + 1):
                 return True
             state.unassign(v, rot)
-            rotation[v] = None
             if evaluations >= cfg.budget:
                 break
         return False

@@ -19,7 +19,6 @@ from latticegenus import (
     CertificateError,
     EmbeddingCertificate,
     Graph,
-    RotationSystem,
     classify_cyclic,
     complete_bipartite,
     cycle_graph,
@@ -305,7 +304,7 @@ def test_criterion_9_property_suites():
     assert code_of(two, two_faces) == "disconnected-graph"
     # rotation missing a vertex is not a rotation system of the graph
     with pytest.raises(CertificateError) as err:
-        trace_faces(square, RotationSystem({"c0": ("c1", "c3")}))
+        trace_faces(square, {"c0": ("c1", "c3")})
     assert err.value.code == "invalid-rotation"
 
     _pass(9, "grid isomorphy, girth, and mutation rejections all hold", t0, 10.0)

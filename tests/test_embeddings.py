@@ -11,7 +11,6 @@ from latticegenus import (
     EmbeddingCertificate,
     Graph,
     InvariantError,
-    RotationSystem,
     VerifiedGenus,
     complete_bipartite,
     cycle_graph,
@@ -40,7 +39,7 @@ def _all_rotations(g):
             [(nbrs[0],) + rest for rest in itertools.permutations(nbrs[1:])]
         )
     for combo in itertools.product(*per_vertex):
-        yield RotationSystem(dict(zip(vertices, combo)))
+        yield dict(zip(vertices, combo))
 
 
 def _random_rotation(g, rng):
@@ -49,15 +48,14 @@ def _random_rotation(g, rng):
         nbrs = list(g.neighbors(v))
         rng.shuffle(nbrs)
         order[v] = tuple(nbrs)
-    return RotationSystem(order)
+    return order
 
 
 def test_four_cycle_traces_to_a_sphere():
     g = cycle_graph(4, prefix="C")
     # degree-2 vertices admit a single cyclic order, so any assignment
     # is the planar one
-    rot = RotationSystem({v: g.neighbors(v) for v in g.vertices})
-    cert = trace_faces(g, rot)
+    cert = trace_faces(g, {v: g.neighbors(v) for v in g.vertices})
     assert verify_certificate(g, cert) == VerifiedGenus(2, 0)
 
 
@@ -242,19 +240,21 @@ def test_family_and_fan_checks_raise_on_a_wrong_genus(monkeypatch):
 
 def test_rotation_must_cover_the_vertex_set():
     g = cycle_graph(4, prefix="C")
-    rot = RotationSystem({"C0": ("C1", "C3")})
     with pytest.raises(CertificateError) as err:
-        rot.validate(g)
+        trace_faces(g, {"C0": ("C1", "C3")})
     assert err.value.code == "invalid-rotation"
 
 
 def test_rotation_must_permute_each_neighborhood():
     g = complete_bipartite(2, 2)
     order = {v: g.neighbors(v) for v in g.vertices}
-    order["L1"] = ("R1", "R1")
-    with pytest.raises(CertificateError) as err:
-        trace_faces(g, RotationSystem(order))
-    assert err.value.code == "invalid-rotation"
+    # a repeated label, or an entry that is no label at all (1 is not "1")
+    for bad in ("R1", 1, None, ["R1"]):
+        order["L1"] = ("R1", bad)
+        with pytest.raises(CertificateError) as err:
+            trace_faces(g, order)
+        assert err.value.code == "invalid-rotation"
+        assert str(err.value) == "rotation at 'L1' is not a permutation of its neighbors"
 
 
 def test_certificate_json_round_trip():

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import latticegenus.search as search
 from latticegenus import (
     Graph,
-    RotationSystem,
     SearchConfig,
     complete_bipartite,
     exact_genus_exhaustive,
@@ -36,11 +35,11 @@ def reference_faces(g, rot):
     """Label-keyed face tracer kept as the engine's oracle: darts in
     sorted (tail, head) order, each unseen dart starting a new walk."""
     index = {
-        v: {u: i for i, u in enumerate(nbrs)} for v, nbrs in rot.order.items()
+        v: {u: i for i, u in enumerate(nbrs)} for v, nbrs in rot.items()
     }
 
     def next_dart(u, v):
-        nbrs = rot.order[v]
+        nbrs = rot[v]
         return v, nbrs[(index[v][u] + 1) % len(nbrs)]
 
     darts = sorted(
@@ -67,7 +66,7 @@ def _random_rotation(g, rng):
         nbrs = list(g.neighbors(v))
         rng.shuffle(nbrs)
         order[v] = tuple(nbrs)
-    return RotationSystem(order)
+    return order
 
 
 @pytest.mark.parametrize(
@@ -94,10 +93,14 @@ def test_engine_faces_equal_the_reference_exactly(build):
 def reference_face_count(darts, rotation):
     """The full retrace the heuristic ran on every move before its
     counts became incremental: rebuild next, walk all 2E darts."""
-    nxt = darts.next_array(rotation)
-    seen = bytearray(darts.count)
+    return reference_cycle_count(darts.next_array(rotation))
+
+
+def reference_cycle_count(nxt):
+    """The number of cycles of the permutation nxt of its indices."""
+    seen = bytearray(len(nxt))
     faces = 0
-    for d in range(darts.count):
+    for d in range(len(nxt)):
         if seen[d]:
             continue
         faces += 1
@@ -164,7 +167,7 @@ def _check_swaps(g, rng, moves):
     """Random swaps at vertices of degree >= 3, each kept or reverted at
     random; after every swap and every revert the next array, the in-dart
     rows and the incremental face count must equal a full rebuild and
-    recount."""
+    recount from a rotation swapped here, apart from the engine."""
     darts = _Darts(g)
     movable = [v for v, nb in enumerate(g.adj) if len(nb) >= 3]
     rotation = [list(nb) for nb in g.adj]
@@ -183,13 +186,17 @@ def _check_swaps(g, rng, moves):
         v = rng.choice(movable)
         i = rng.randrange(len(rotation[v]))
         row = inrot[v]
-        delta = darts.swap_delta(nxt, row[i - 1], row[i], row[(i + 1) % len(row)])
-        darts.swap(nxt, rotation, inrot, v, i)
+        j = (i + 1) % len(row)
+        delta = darts.swap_delta(nxt, row[i - 1], row[i], row[j])
+        rot = rotation[v]
+        darts.swap(nxt, inrot, v, i)
+        rot[i], rot[j] = rot[j], rot[i]
         assert nxt == darts.next_array(rotation)
         assert inrot == rebuilt_rows()
         assert faces + delta == reference_face_count(darts, rotation)
         if rng.random() < 0.5:
-            darts.swap(nxt, rotation, inrot, v, i)
+            darts.swap(nxt, inrot, v, i)
+            rot[i], rot[j] = rot[j], rot[i]
             assert nxt == darts.next_array(rotation)
             assert inrot == rebuilt_rows()
             assert faces == reference_face_count(darts, rotation)
@@ -286,11 +293,18 @@ def test_prune_tallies_equal_the_rescan_at_every_node(monkeypatch, build, genus)
     floor = reference_floor(g)
     tallied = search._PartialRotation.bound
     checked = []
+    complete = []
 
     def rescanned(state):
         value = tallied(state)
         assert value == reference_bound(state.nxt, floor)
         checked.append(value)
+        if -1 not in state.nxt:
+            # the array a DFS leaf hands to the face tracer: a permutation
+            # of the darts whose every cycle the tally counted
+            assert sorted(state.nxt) == list(range(len(state.nxt)))
+            assert reference_cycle_count(state.nxt) == value
+            complete.append(value)
         return value
 
     monkeypatch.setattr(search._PartialRotation, "bound", rescanned)
@@ -303,6 +317,7 @@ def test_prune_tallies_equal_the_rescan_at_every_node(monkeypatch, build, genus)
         cfg = SearchConfig(target, mode="exhaustive")
         assert search._search_exhaustive(g, cfg, floor).status == "exhausted"
     assert len(checked) > 10
+    assert complete
 
 
 def _pinned(outcome):

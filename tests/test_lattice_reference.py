@@ -2,7 +2,8 @@
 they replaced.
 
 ``reference_enumerate_subgroups`` and ``reference_build_lattice`` below
-are the earlier implementation, kept verbatim apart from their names: one
+are the earlier implementation, kept verbatim apart from their names and
+from each subgroup being its bare element frozenset: one
 closure over the whole group's elements (an addition table up to
 ``_TABLE_LIMIT`` elements, tuple arithmetic above it) and a cover test over
 every pair of subgroups.  The package's per-prime product, enumeration
@@ -19,7 +20,6 @@ from latticegenus import (
     Graph,
     GroupError,
     GroupSpec,
-    Subgroup,
     SubgroupSet,
     build_lattice,
     enumerate_subgroups,
@@ -102,9 +102,7 @@ def reference_enumerate_subgroups(
                     grown.append(joined)
         frontier = grown
 
-    subgroups = tuple(
-        Subgroup(frozenset(coords[i] for i in sub)) for sub in found
-    )
+    subgroups = tuple(frozenset(coords[i] for i in sub) for sub in found)
     return SubgroupSet(g, subgroups)
 
 
@@ -112,8 +110,8 @@ def reference_build_lattice(s: SubgroupSet) -> Graph:
     """Build the lattice graph: an edge joins H and K exactly when one
     contains the other with no subgroup strictly between."""
     labels = s.labels()
-    elems = [sub.elements for sub in s.subgroups]
-    orders = [sub.order for sub in s.subgroups]
+    elems = list(s.subgroups)
+    orders = [len(sub) for sub in s.subgroups]
     m = len(elems)
     ups: list[set[int]] = [set() for _ in range(m)]
     downs: list[set[int]] = [set() for _ in range(m)]
